@@ -1,6 +1,6 @@
 // HOT — the executor hot-path microbench. Prints the "hot" artifact
-// (dense flat-staging executor, its SIMD-kernel variant, and the
-// retained hash-map baseline, with every deterministic field asserted
+// (dense flat-staging executor, its SIMD-kernel variant, and the same
+// executor in validation mode, with every deterministic field asserted
 // equal), serializes the measured throughputs as metrics_hot.json,
 // then runs google-benchmark kernels for the same full-volume
 // executions — scalar and SIMD side by side, plus the SIMD build with
@@ -8,8 +8,8 @@
 // separates "concrete kernel instead of std::function" from "vector
 // row kernel" gains. A Release run's --benchmark_out is committed as
 // bench/BENCH_exec_hotpath.json — the perf trajectory baseline; the
-// acceptance bars are dense >= 3x hashmap and simd >= 2x dense
-// vertices/sec on exec_d1_w512 (doc/PERF.md).
+// acceptance bar is simd >= 2x dense vertices/sec on exec_d1_w512
+// (doc/PERF.md).
 #include "bench_common.hpp"
 #include "sep/simd.hpp"
 #include "tables/hotpath.hpp"
@@ -33,22 +33,6 @@ void bm_dense(benchmark::State& state, std::array<std::int64_t, D> extent,
   for (auto _ : state) {
     sep::StagingStore<D> staging(&g.stencil);
     auto s = tables::hotpath::run_dense<D>(g, staging);
-    vertices = s.vertices;
-    benchmark::DoNotOptimize(s.total_cost);
-  }
-  state.counters["vertices_per_sec"] =
-      benchmark::Counter(static_cast<double>(vertices),
-                         benchmark::Counter::kIsIterationInvariantRate);
-}
-
-template <int D>
-void bm_hashmap(benchmark::State& state, std::array<std::int64_t, D> extent,
-                std::int64_t horizon, std::int64_t m) {
-  auto g = hot_guest<D>(extent, horizon, m);
-  std::int64_t vertices = 0;
-  for (auto _ : state) {
-    sep::ValueMap<D> staging;
-    auto s = tables::hotpath::run_hashmap<D>(g, staging);
     vertices = s.vertices;
     benchmark::DoNotOptimize(s.total_cost);
   }
@@ -95,9 +79,6 @@ void BM_exec_d1_w512_simd(benchmark::State& state) {
 void BM_exec_d1_w512_simd_off(benchmark::State& state) {
   bm_simd<1>(state, {512}, 512, 128, false);
 }
-void BM_exec_d1_w512_hashmap(benchmark::State& state) {
-  bm_hashmap<1>(state, {512}, 512, 128);
-}
 void BM_exec_d2_w48_dense(benchmark::State& state) {
   bm_dense<2>(state, {48, 48}, 48, 4);
 }
@@ -107,18 +88,13 @@ void BM_exec_d2_w48_simd(benchmark::State& state) {
 void BM_exec_d2_w48_simd_off(benchmark::State& state) {
   bm_simd<2>(state, {48, 48}, 48, 4, false);
 }
-void BM_exec_d2_w48_hashmap(benchmark::State& state) {
-  bm_hashmap<2>(state, {48, 48}, 48, 4);
-}
 
 BENCHMARK(BM_exec_d1_w512_dense);
 BENCHMARK(BM_exec_d1_w512_simd);
 BENCHMARK(BM_exec_d1_w512_simd_off);
-BENCHMARK(BM_exec_d1_w512_hashmap);
 BENCHMARK(BM_exec_d2_w48_dense);
 BENCHMARK(BM_exec_d2_w48_simd);
 BENCHMARK(BM_exec_d2_w48_simd_off);
-BENCHMARK(BM_exec_d2_w48_hashmap);
 
 }  // namespace
 

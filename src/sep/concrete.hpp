@@ -1,7 +1,7 @@
 // The concrete executor: Proposition 2 with *literal* memory.
 //
-// Where Executor<D> charges model costs while holding values in host
-// hash maps, ConcreteExecutor runs the same recursion with every value
+// Where Executor<D> charges model costs while holding values in a host
+// staging store, ConcreteExecutor runs the same recursion with every value
 // physically resident in an HRam at the addresses Proposition 2
 // prescribes:
 //   * execute(U) owns the address window [0, S(U));

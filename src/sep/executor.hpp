@@ -27,10 +27,9 @@
 // without materializing point vectors; leaves run in a dense window
 // (sep/staging.hpp LeafWindow: per-time-level prefix offset + row-
 // major x offset) instead of a hash map, with per-leaf batched
-// kCompute and a bit-exact kLocalAccess charge stream; staging is any
-// store providing the accessors of sep/staging.hpp — StagingStore<D>
-// for O(1) dense addressing, or the original ValueMap<D>. All charged
-// totals are bit-identical to the materializing implementation;
+// kCompute and a bit-exact kLocalAccess charge stream; staging is a
+// StagingStore<D, V> with O(1) dense addressing. All charged totals
+// are bit-identical to the materializing implementation;
 // ExecutorConfig::validate re-enables the per-level materialization
 // and asserts it changes nothing.
 //
@@ -67,7 +66,7 @@
 #include <cstdint>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "core/cost.hpp"
@@ -171,21 +170,20 @@ class Executor {
 
   /// Execute domain U (see the contract above): afterwards the out-set
   /// values of U are in `staging` (enumerable via U.outset() /
-  /// U.outset_visit()). `Store` is ValueMap<D> or StagingStore<D>.
-  template <class Store>
-  void execute(const geom::Region<D>& U, Store& staging) {
+  /// U.outset_visit()).
+  void execute(const geom::Region<D>& U, StagingStore<D, V>& staging) {
     execute_with_rule(U, staging, guest_->rule);
   }
 
   /// Fast path: identical to execute(), with the leaf loop specialized
   /// for a concrete `rule` callable (no std::function dispatch per
   /// vertex). `rule` must compute the same function as guest->rule.
-  template <class Store, class RuleFn>
-  void execute_with_rule(const geom::Region<D>& U, Store& staging,
-                         const RuleFn& rule) {
+  template <class RuleFn>
+  void execute_with_rule(const geom::Region<D>& U,
+                         StagingStore<D, V>& staging, const RuleFn& rule) {
     BSMP_REQUIRE(ledger_ != nullptr);
     const std::size_t base = staging.size();
-    Ctx<Store, core::CostLedger> cx;
+    Ctx<StagingStore<D, V>, core::CostLedger> cx;
     cx.staging = &staging;
     cx.ledger = ledger_;
     // Hand the executor's persistent leaf scratch to the root context
@@ -205,8 +203,11 @@ class Executor {
   /// deltas for the caller to absorb() after joining. Mutates only
   /// `staging` and `log` — never the executor — so concurrent calls on
   /// one Executor are safe provided their stores are disjoint (e.g.
-  /// per-fork StagingShards over a common base).
+  /// per-fork StagingShards over a common base). `Store` is
+  /// StagingStore<D, V> or StagingShard<D, V>.
   template <class Store, class RuleFn>
+    requires std::is_same_v<Store, StagingStore<D, V>> ||
+             std::is_same_v<Store, StagingShard<D, V>>
   ExecDelta execute_delta(const geom::Region<D>& U, Store& staging,
                           core::ChargeLog& log, const RuleFn& rule) const {
     // Leaf scratch from the calling thread's pool: forked callers
@@ -406,7 +407,7 @@ class Executor {
                             const std::vector<geom::Region<D>>& children,
                             core::Cost fS, Ctx<Store, Ledger>& cx,
                             const RuleFn& rule) const {
-    using Shard = typename ShardOf<D, Store>::type;
+    using Shard = StagingShard<D, V>;
     // The fork's bookkeeping comes from the forking thread's scratch
     // pools: the ChargeLog checkout here, the shard's local store via
     // detail::shard_local, the leaf scratch inside the fork body.

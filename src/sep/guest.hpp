@@ -80,15 +80,16 @@ struct LaneBatch {
   }
 };
 
-/// Values of dag vertices, keyed by lattice point — the staging medium
-/// every simulator and executor exchanges results through. V is the
-/// per-vertex value type: Word for scalar (and bit-sliced) guests,
-/// LaneBatch for SoA-batched ones.
+/// Values of dag vertices, keyed by lattice point — the container
+/// simulators report final values in and reference runs are compared
+/// through (staging itself is sep::StagingStore). V is the per-vertex
+/// value type: Word for scalar (and bit-sliced) guests, LaneBatch for
+/// SoA-batched ones.
 template <int D, class V>
 using BasicValueMap =
     std::unordered_map<geom::Point<D>, V, geom::PointHash<D>>;
 
-/// Scalar value map (the original staging type; V = Word).
+/// Scalar value map (V = Word).
 template <int D>
 using ValueMap = BasicValueMap<D, Word>;
 

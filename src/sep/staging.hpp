@@ -16,16 +16,17 @@
 //     and the space-bound tests rely on;
 //   * level_allocs() counts slab allocations for the hot-path metrics.
 //
-// The generic accessors at the bottom (store_find / store_insert) give
-// Executor one staging interface over both StagingStore and the
-// original ValueMap (kept as a supported staging type: existing tests
-// use it, and the hot-path bench measures it as the same-run baseline).
+// StagingStore is the only staging medium: ValueMap<D> survives purely
+// as a value container (final values, reference runs). The accessors
+// at the bottom (store_find / store_insert / ...) give Executor one
+// staging interface over a StagingStore and the StagingShard overlays
+// its forked subtrees write into.
 //
-// Both store families are generic over the per-point value type V
-// (Word by default; LaneBatch for SoA-batched guests — see
-// sep/guest.hpp). Liveness, size() and level accounting count *points*
-// regardless of V, so peak-staging and slab-allocation metrics are
-// identical between a scalar run and a 64-lane batched run.
+// The store is generic over the per-point value type V (Word by
+// default; LaneBatch for SoA-batched guests — see sep/guest.hpp).
+// Liveness, size() and level accounting count *points* regardless of
+// V, so peak-staging and slab-allocation metrics are identical between
+// a scalar run and a 64-lane batched run.
 //
 // Slab memory comes from engine::Arena (BSMP_ARENA, default on), and
 // liveness is epoch-tagged: a slot is live iff its liveness byte equals
@@ -201,8 +202,8 @@ class StagingStore {
   /// The stencil fixing this store's address layout.
   const geom::Stencil<D>* stencil() const { return st_; }
 
-  /// Number of live words — the same quantity ValueMap::size() reports,
-  /// so peak-staging accounting is unchanged by the dense layout.
+  /// Number of live words (points), the quantity peak_staging() and the
+  /// space-bound tests track.
   std::size_t size() const { return live_; }
 
   /// Drop every level with t < dead_below and t < keep_from, retiring
@@ -466,33 +467,10 @@ class LeafWindow {
 };
 
 // ---------------------------------------------------------------------
-// Uniform staging accessors: the executor is templated on its staging
-// store, and these overloads bridge the two supported families — each
-// generic over the per-point value type V.
+// Uniform staging accessors: the executor's recursion is templated on
+// its staging view — a StagingStore or a StagingShard over one — and
+// these overloads give both the same interface.
 // ---------------------------------------------------------------------
-
-/// The per-point value type of a staging store. StagingStore and
-/// StagingShard expose `value_type` directly; the unordered_map form
-/// needs the specialization (its own value_type is the pair).
-template <class Store>
-struct StoreValue {
-  using type = typename Store::value_type;
-};
-
-template <int D, class V>
-struct StoreValue<std::unordered_map<geom::Point<D>, V, geom::PointHash<D>>> {
-  using type = V;
-};
-
-template <class Store>
-using store_value_t = typename StoreValue<Store>::type;
-
-template <int D, class V>
-inline const V* store_find(const BasicValueMap<D, V>& m,
-                           const geom::Point<D>& q) {
-  auto it = m.find(q);
-  return it == m.end() ? nullptr : &it->second;
-}
 
 template <int D, class V>
 inline const V* store_find(const StagingStore<D, V>& s,
@@ -500,16 +478,9 @@ inline const V* store_find(const StagingStore<D, V>& s,
   return s.find(q);
 }
 
-/// Insert q -> v; returns whether q was newly added (both stores keep
-/// the first value on a duplicate insert attempt via executor paths —
-/// every dag vertex is produced exactly once, so duplicates never
-/// carry a different value).
-template <int D, class V>
-inline bool store_insert(BasicValueMap<D, V>& m, const geom::Point<D>& q,
-                         const V& v) {
-  return m.emplace(q, v).second;
-}
-
+/// Set q -> v; returns whether q was newly added (every dag vertex is
+/// produced exactly once, so a repeated insert never carries a
+/// different value).
 template <int D, class V>
 inline bool store_insert(StagingStore<D, V>& s, const geom::Point<D>& q,
                          const V& v) {
@@ -517,8 +488,8 @@ inline bool store_insert(StagingStore<D, V>& s, const geom::Point<D>& q,
 }
 
 /// Insert n contiguous values along the innermost dimension starting
-/// at q; returns how many were newly added. Stores without dense rows
-/// fall back to per-cell insert — same values, same count.
+/// at q; returns how many were newly added. Views without dense rows
+/// (shards) fall back to per-cell insert — same values, same count.
 template <class Store, int D, class V>
 inline std::int64_t store_insert_span(Store& s, geom::Point<D> q,
                                       const V* src, std::size_t n) {
@@ -539,24 +510,18 @@ inline std::int64_t store_insert_span(StagingStore<D, V>& s,
 
 /// Erase q; returns whether a value was actually removed.
 template <int D, class V>
-inline bool store_erase(BasicValueMap<D, V>& m, const geom::Point<D>& q) {
-  return m.erase(q) != 0;
-}
-
-template <int D, class V>
 inline bool store_erase(StagingStore<D, V>& s, const geom::Point<D>& q) {
   return s.erase(q);
 }
 
 /// Pointer to n contiguous live values along the innermost dimension
-/// starting at q, or nullptr when the store cannot serve the span as
-/// one dense row (absent cells, or a store without dense slabs). The
-/// SIMD leaf path tries this before staging a self-operand row cell
-/// by cell.
+/// starting at q, or nullptr when the view cannot serve the span as
+/// one dense row (absent cells, or a shard, whose values may be split
+/// across overlays). The SIMD leaf path tries this before staging a
+/// self-operand row cell by cell.
 template <class Store, int D>
-inline const store_value_t<Store>* store_row_span(const Store&,
-                                                  const geom::Point<D>&,
-                                                  std::size_t) {
+inline const typename Store::value_type* store_row_span(
+    const Store&, const geom::Point<D>&, std::size_t) {
   return nullptr;
 }
 
@@ -566,35 +531,13 @@ inline const V* store_row_span(const StagingStore<D, V>& s,
   return s.row_span(q, n);
 }
 
-/// Pre-allocate the slab of time level t, where the store has slabs.
-template <int D, class V>
-inline void store_touch_level(BasicValueMap<D, V>&, std::int64_t) {}
-
+/// Pre-allocate the slab of time level t.
 template <int D, class V>
 inline void store_touch_level(StagingStore<D, V>& s, std::int64_t t) {
   s.touch_level(t);
 }
 
-/// Visit every live (point, value) pair. Order is the store's own
-/// (unspecified for ValueMap); callers needing determinism must not
-/// depend on it.
-template <int D, class V, class F>
-inline void store_for_each(const BasicValueMap<D, V>& m, F&& visit) {
-  for (const auto& [p, v] : m) visit(p, v);
-}
-
-template <int D, class V, class F>
-inline void store_for_each(const StagingStore<D, V>& s, F&& visit) {
-  s.for_each(visit);
-}
-
-/// Slab allocations of a store, when it tracks them (0 for ValueMap —
-/// the hash map's internal rehashes are exactly what it cannot see).
-template <int D, class V>
-inline std::size_t store_level_allocs(const BasicValueMap<D, V>&) {
-  return 0;
-}
-
+/// Slab allocations of a store.
 template <int D, class V>
 inline std::size_t store_level_allocs(const StagingStore<D, V>& s) {
   return s.level_allocs();
@@ -616,22 +559,14 @@ inline std::size_t store_level_allocs(const StagingStore<D, V>& s) {
 //
 // The shard also records which time levels it inserted into (even if
 // every value there was erased again) so merge_into can pre-touch the
-// matching slabs of a dense base: StagingStore::level_allocs() then
-// counts exactly the slabs a serial execution would have allocated.
+// matching slabs of the base: StagingStore::level_allocs() then counts
+// exactly the slabs a serial execution would have allocated.
 //
-// `Base` is the root store type (ValueMap or StagingStore); a shard
-// over a shard shares the same Base, so template nesting is bounded.
+// A shard over a shard is the same type StagingShard<D, V>, so the
+// executor's template recursion over fork depth is bounded.
 // ---------------------------------------------------------------------
 
 namespace detail {
-
-template <int D, class V>
-inline BasicValueMap<D, V> shard_local(const BasicValueMap<D, V>&) {
-  return BasicValueMap<D, V>{};
-}
-
-template <int D, class V>
-inline void shard_retire(BasicValueMap<D, V>&&) {}
 
 /// Per-thread cache of retired shard-local dense stores, so the Nth
 /// fork on a thread reuses the (N-1)th fork's slabs instead of
@@ -693,11 +628,11 @@ struct overlay_t {
 };
 inline constexpr overlay_t overlay{};
 
-template <int D, class Base>
+template <int D, class V = Word>
 class StagingShard {
  public:
-  using base_type = Base;
-  using value_type = store_value_t<Base>;
+  using Base = StagingStore<D, V>;
+  using value_type = V;
 
   /// Overlay directly on the base store.
   StagingShard(overlay_t, const Base& base)
@@ -713,23 +648,23 @@ class StagingShard {
   StagingShard& operator=(const StagingShard&) = delete;
 
   /// Hand the local store back to the calling thread's shard-store
-  /// pool (dense stores, arena on): the next fork here reuses its
+  /// pool (arena on): the next fork here reuses its
   /// slabs with a bumped epoch instead of materializing cold ones.
   ~StagingShard() { detail::shard_retire(std::move(local_)); }
 
-  const value_type* find(const geom::Point<D>& q) const {
-    if (const value_type* v = store_find(local_, q)) return v;
+  const V* find(const geom::Point<D>& q) const {
+    if (const V* v = local_.find(q)) return v;
     for (const StagingShard* s = parent_; s != nullptr; s = s->parent_)
-      if (const value_type* v = store_find(s->local_, q)) return v;
-    return store_find(*base_, q);
+      if (const V* v = s->local_.find(q)) return v;
+    return base_->find(q);
   }
 
-  bool insert(const geom::Point<D>& q, const value_type& v) {
+  bool insert(const geom::Point<D>& q, const V& v) {
     note_level(q.t);
-    return store_insert(local_, q, v);
+    return local_.insert(q, v);
   }
 
-  bool erase(const geom::Point<D>& q) { return store_erase(local_, q); }
+  bool erase(const geom::Point<D>& q) { return local_.erase(q); }
 
   /// Live values written locally (not the fall-through total): the
   /// executor tracks staging peaks via relative deltas, not sizes.
@@ -746,10 +681,9 @@ class StagingShard {
   template <class Dst>
   void merge_into(Dst& dst) const {
     for (std::int64_t t : touched_) store_touch_level(dst, t);
-    store_for_each<D>(local_,
-                      [&dst](const geom::Point<D>& p, const value_type& v) {
-                        store_insert(dst, p, v);
-                      });
+    local_.for_each([&dst](const geom::Point<D>& p, const V& v) {
+      store_insert(dst, p, v);
+    });
   }
 
  private:
@@ -760,45 +694,32 @@ class StagingShard {
 };
 
 /// Accessor overloads so the executor can treat a shard as a store.
-template <int D, class Base>
-inline const store_value_t<Base>* store_find(const StagingShard<D, Base>& s,
-                                             const geom::Point<D>& q) {
+template <int D, class V>
+inline const V* store_find(const StagingShard<D, V>& s,
+                           const geom::Point<D>& q) {
   return s.find(q);
 }
 
-template <int D, class Base>
-inline bool store_insert(StagingShard<D, Base>& s, const geom::Point<D>& q,
-                         const store_value_t<Base>& v) {
+template <int D, class V>
+inline bool store_insert(StagingShard<D, V>& s, const geom::Point<D>& q,
+                         const V& v) {
   return s.insert(q, v);
 }
 
-template <int D, class Base>
-inline bool store_erase(StagingShard<D, Base>& s, const geom::Point<D>& q) {
+template <int D, class V>
+inline bool store_erase(StagingShard<D, V>& s, const geom::Point<D>& q) {
   return s.erase(q);
 }
 
-template <int D, class Base>
-inline void store_touch_level(StagingShard<D, Base>& s, std::int64_t t) {
+template <int D, class V>
+inline void store_touch_level(StagingShard<D, V>& s, std::int64_t t) {
   s.note_level(t);
 }
 
-template <int D, class Base>
-inline std::size_t store_level_allocs(const StagingShard<D, Base>&) {
+template <int D, class V>
+inline std::size_t store_level_allocs(const StagingShard<D, V>&) {
   return 0;  // shard slabs are scratch; only base-store slabs count
 }
-
-/// Maps a store type to the shard type that overlays it: shards of a
-/// base store and shards of such shards are the *same* type, so the
-/// executor's template recursion over fork depth is bounded.
-template <int D, class Store>
-struct ShardOf {
-  using type = StagingShard<D, Store>;
-};
-
-template <int D, class Base>
-struct ShardOf<D, StagingShard<D, Base>> {
-  using type = StagingShard<D, Base>;
-};
 
 // ---------------------------------------------------------------------
 // Parallel grain: process-wide default for

@@ -63,17 +63,30 @@ std::vector<geom::Point<D>> final_points(const geom::Stencil<D>& st) {
   return out;
 }
 
-/// Extract the final points from a staging store (ValueMap or
-/// StagingStore, any value type) into a fresh map; asserts every final
-/// point is present.
-template <int D, class Store>
-sep::BasicValueMap<D, sep::store_value_t<Store>> extract_final(
-    const geom::Stencil<D>& st, const Store& staging) {
-  sep::BasicValueMap<D, sep::store_value_t<Store>> out;
+/// Extract the final points from a staging store into a fresh map;
+/// asserts every final point is present.
+template <int D, class V>
+sep::BasicValueMap<D, V> extract_final(const geom::Stencil<D>& st,
+                                       const sep::StagingStore<D, V>& staging) {
+  sep::BasicValueMap<D, V> out;
   for (const auto& q : final_points<D>(st)) {
-    const auto* v = sep::store_find(staging, q);
+    const V* v = staging.find(q);
     BSMP_ASSERT_MSG(v != nullptr, "final value missing at t=" << q.t);
     out.emplace(q, *v);
+  }
+  return out;
+}
+
+/// The same filter over a map of computed values (a schedule run's
+/// sched::RunResult::values, say).
+template <int D, class V>
+sep::BasicValueMap<D, V> extract_final(const geom::Stencil<D>& st,
+                                       const sep::BasicValueMap<D, V>& values) {
+  sep::BasicValueMap<D, V> out;
+  for (const auto& q : final_points<D>(st)) {
+    auto it = values.find(q);
+    BSMP_ASSERT_MSG(it != values.end(), "final value missing at t=" << q.t);
+    out.emplace(q, it->second);
   }
   return out;
 }

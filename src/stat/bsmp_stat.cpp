@@ -42,19 +42,58 @@ std::string fmt_ns(double ns) {
   return buf;
 }
 
-/// google-benchmark entry lookup with aggregate fallback: a
-/// repetitions>1 baseline holds only _mean/_median/... rows while a
-/// fresh single-rep run holds the bare name; gates written against the
-/// bare name must read both.
-const json::Value& find_benchmark(const json::Value& root,
-                                  const std::string& name) {
-  static const json::Value kNull;
-  for (const char* suffix : {"", "_median", "_mean"}) {
-    std::string want = name + suffix;
-    for (const auto& b : root["benchmarks"].items())
-      if (b["name"].as_string() == want) return b;
+/// A google-benchmark row's identity: the benchmark it measures
+/// (run_name) and how well it stands for that benchmark — 3 for the
+/// median aggregate, 2 for the mean, 1 for an iteration row, 0 for a
+/// spread aggregate (stddev, cv) that is never read as a value.
+/// Producers that omit run_name / aggregate_name are read from the
+/// name suffix.
+struct RowId {
+  std::string run;
+  int rank = 1;
+};
+
+RowId row_id(const json::Value& b) {
+  RowId id{b["run_name"].as_string()};
+  std::string agg = b["aggregate_name"].as_string();
+  if (id.run.empty()) {
+    const std::string& name = b["name"].as_string();
+    id.run = name;
+    for (std::string_view suffix : {"_median", "_mean", "_stddev", "_cv"}) {
+      if (name.size() > suffix.size() && name.ends_with(suffix)) {
+        id.run = name.substr(0, name.size() - suffix.size());
+        agg = suffix.substr(1);
+        break;
+      }
+    }
   }
-  return kNull;
+  if (agg == "median")
+    id.rank = 3;
+  else if (agg == "mean")
+    id.rank = 2;
+  else if (!agg.empty() || b["run_type"].as_string() == "aggregate")
+    id.rank = 0;
+  return id;
+}
+
+/// The row that stands for benchmark `run`: its median aggregate, else
+/// its mean, else its (first) iteration row; null when the document
+/// does not measure `run`. A repetitions>1 baseline holds aggregate
+/// rows while a fresh single-rep run holds only the iteration row, so
+/// gates written against the run name read both.
+const json::Value& find_benchmark(const json::Value& root,
+                                  const std::string& run) {
+  static const json::Value kNull;
+  const json::Value* best = &kNull;
+  int best_rank = 0;
+  for (const auto& b : root["benchmarks"].items()) {
+    const RowId id = row_id(b);
+    if (id.run == run && id.rank > best_rank) {
+      best = &b;
+      best_rank = id.rank;
+    }
+  }
+  return *best;
 }
 
 struct Failure {
@@ -327,23 +366,39 @@ void diff_gbench(const Artifact& baseline, const Artifact& candidate,
           "the code\n";
     return;
   }
-  for (const DriftSpec& d : spec.drift) {
-    for (const auto& bb : baseline.root["benchmarks"].items()) {
+  // One gate per baseline benchmark, read from its representative row
+  // on each side (an aggregated baseline against a single-run
+  // candidate included); spread rows never stand for a benchmark.
+  std::vector<std::string> gated;
+  for (const auto& row : baseline.root["benchmarks"].items()) {
+    const RowId id = row_id(row);
+    if (id.rank == 0 ||
+        std::find(gated.begin(), gated.end(), id.run) != gated.end())
+      continue;
+    gated.push_back(id.run);
+    const json::Value& bb = find_benchmark(baseline.root, id.run);
+    const json::Value& cb = find_benchmark(candidate.root, id.run);
+    if (cb.is_null()) {
+      st.fail(id.run + ": baseline benchmark missing from candidate");
+      continue;
+    }
+    for (const DriftSpec& d : spec.drift) {
       if (!bb.has(d.metric)) continue;
-      const std::string& bname = bb["name"].as_string();
-      const json::Value& cb = find_benchmark(candidate.root, bname);
-      if (cb.is_null() || !cb.has(d.metric)) continue;
+      if (!cb.has(d.metric)) {
+        st.fail(id.run + " " + d.metric + ": missing from candidate");
+        continue;
+      }
       double base = bb[d.metric].as_number();
       double cand = cb[d.metric].as_number();
       if (base <= 0) continue;
       bool regressed = d.lower_is_better
                            ? cand > base * (1.0 + d.rel_tol)
                            : cand < base * (1.0 - d.rel_tol);
-      os << (regressed ? "FAIL" : "ok  ") << "  " << bname << " "
+      os << (regressed ? "FAIL" : "ok  ") << "  " << id.run << " "
          << d.metric << ": " << fmt(base) << " -> " << fmt(cand) << " ("
          << fmt(cand / base) << "x, tol " << fmt(d.rel_tol) << ")\n";
       if (regressed)
-        st.failures.push_back({bname + " " + d.metric + " drifted " +
+        st.failures.push_back({id.run + " " + d.metric + " drifted " +
                                fmt(cand / base) + "x beyond tolerance"});
     }
   }

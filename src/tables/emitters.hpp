@@ -68,10 +68,11 @@ std::vector<Emitted> e6_dense_tables(EngineCtx& ctx);
 /// produced by an engine sweep (see tables/calibration.hpp).
 std::vector<Emitted> calibration_tables(EngineCtx& ctx);
 
-/// Executor hot-path artifact: the flat-staging executor vs the
-/// retained hash-map baseline over identical full volumes (d=1
-/// diamond, d=2 octahedron). The table holds the deterministic
-/// agreement fields (vertices, peak staging, charged totals); the
+/// Executor hot-path artifact: the flat-staging executor with the
+/// guest's rule, with a SIMD row kernel and in validation mode over
+/// identical full volumes (d=1 diamond, d=2 octahedron). The table
+/// holds the deterministic agreement fields (vertices, peak staging,
+/// slab allocations, charged totals); the
 /// wall-clock throughput of each run is reported into ctx.metrics as
 /// HotPathMetric records (serialized by bench_exec_hotpath as
 /// metrics_hot.json). See tables/hotpath.hpp.

@@ -1,12 +1,15 @@
-// "hot" — the executor hot-path artifact: dense flat-staging executor,
-// its SIMD-kernel variant (run_dense_kernel + workload::MixKernel),
-// and the retained hash-map baseline over the same full volumes. The
-// emitted table carries only run-to-run deterministic fields (and is
-// therefore under the tier-2 byte-identity check like every other
-// emitter — identical with BSMP_SIMD on or off, since the ISA only
-// reaches the observational metrics); wall-clock throughput goes to
-// EngineCtx::metrics, which bench_exec_hotpath serializes as
-// metrics_hot.json.
+// "hot" — the executor hot-path artifact: the dense flat-staging
+// executor, its SIMD-kernel variant (run_dense_kernel +
+// workload::MixKernel), and the same dense executor in validation mode
+// (ExecutorConfig::validate: per-level materialization and partition
+// asserts) over the same full volumes. The three must agree on every
+// deterministic field, and the dense final values must equal the
+// direct guest run (sim::reference_run). The emitted table carries
+// only run-to-run deterministic fields (and is therefore under the
+// tier-2 byte-identity check like every other emitter — identical with
+// BSMP_SIMD on or off, since the ISA only reaches the observational
+// metrics); wall-clock throughput goes to EngineCtx::metrics, which
+// bench_exec_hotpath serializes as metrics_hot.json.
 //
 // The two configs run as points of one engine sweep (not a bare loop)
 // so the emitter exercises the whole stack bench_exec_hotpath traces:
@@ -19,6 +22,7 @@
 
 #include "sep/simd.hpp"
 #include "sim/observe.hpp"
+#include "sim/reference.hpp"
 #include "tables/detail.hpp"
 #include "tables/emitters.hpp"
 #include "tables/hotpath.hpp"
@@ -28,12 +32,27 @@ namespace bsmp::tables {
 
 namespace {
 
-/// Deterministic result of one hot config (all three executors' stats;
-/// the seconds fields are observational and never reach the table).
+/// Deterministic result of one hot config (all three runs' stats; the
+/// seconds fields are observational and never reach the table).
 struct HotRun {
   std::string label;
-  hotpath::ExecStats dense, simd, hash;
+  hotpath::ExecStats dense, simd, validated;
 };
+
+/// Require `got` to equal the dense run in every deterministic field.
+void require_same(const std::string& label, const char* what,
+                  const hotpath::ExecStats& got,
+                  const hotpath::ExecStats& dense) {
+  BSMP_REQUIRE_MSG(got.vertices == dense.vertices,
+                   label << ": " << what << " executed a different vertex "
+                                            "count");
+  BSMP_REQUIRE_MSG(got.total_cost == dense.total_cost,
+                   label << ": " << what << " charged a different total");
+  BSMP_REQUIRE_MSG(got.peak_staging_words == dense.peak_staging_words,
+                   label << ": " << what << " disagrees on peak staging");
+  BSMP_REQUIRE_MSG(got.staging_allocs == dense.staging_allocs,
+                   label << ": " << what << " disagrees on slab allocations");
+}
 
 template <int D>
 HotRun hot_config(const std::string& label,
@@ -43,46 +62,40 @@ HotRun hot_config(const std::string& label,
 
   sep::StagingStore<D> dense_staging(&guest.stencil);
   hotpath::ExecStats dense = hotpath::run_dense<D>(guest, dense_staging);
+  const auto dense_fin = sim::extract_final<D>(guest.stencil, dense_staging);
+  BSMP_REQUIRE_MSG(
+      sim::same_values<D>(dense_fin, sim::reference_run(guest).final_values),
+      label << ": dense executor diverged from the direct guest run");
+
+  // The SIMD leaf path: identical to dense in every deterministic field
+  // — values, charge totals, peak staging, even the slab allocation
+  // count — whether the vector path ran or the scalar fallback did
+  // (doc/PERF.md "Byte identity").
   sep::StagingStore<D> simd_staging(&guest.stencil);
   hotpath::ExecStats simd = hotpath::run_dense_kernel<D>(
       guest, simd_staging, workload::MixKernel<D>{});
-  sep::ValueMap<D> hash_staging;
-  hotpath::ExecStats hash = hotpath::run_hashmap<D>(guest, hash_staging);
-
-  // The whole point of the flat-staging rewrite: everything but the
-  // wall clock is identical to the hash-map implementation.
-  BSMP_REQUIRE_MSG(dense.vertices == hash.vertices,
-                   label << ": dense and hashmap executed different "
-                            "vertex counts");
-  BSMP_REQUIRE_MSG(dense.total_cost == hash.total_cost,
-                   label << ": dense and hashmap charged different totals "
-                            "— charge batching is not bit-exact");
-  BSMP_REQUIRE_MSG(dense.peak_staging_words == hash.peak_staging_words,
-                   label << ": dense and hashmap disagree on peak staging");
+  require_same(label, "simd", simd, dense);
   BSMP_REQUIRE_MSG(
-      sim::same_values<D>(sim::extract_final<D>(guest.stencil, dense_staging),
-                          sim::extract_final<D>(guest.stencil, hash_staging)),
-      label << ": dense and hashmap computed different guest values");
-
-  // And the point of the SIMD leaf path: identical to dense in every
-  // deterministic field — values, charge totals, peak staging, even
-  // the slab allocation count — whether the vector path ran or the
-  // scalar fallback did (doc/PERF.md "Byte identity").
-  BSMP_REQUIRE_MSG(simd.vertices == dense.vertices,
-                   label << ": simd executed a different vertex count");
-  BSMP_REQUIRE_MSG(simd.total_cost == dense.total_cost,
-                   label << ": simd charged a different total — the vector "
-                            "leaf's charge stream is not bit-exact");
-  BSMP_REQUIRE_MSG(simd.peak_staging_words == dense.peak_staging_words,
-                   label << ": simd disagrees on peak staging");
-  BSMP_REQUIRE_MSG(simd.staging_allocs == dense.staging_allocs,
-                   label << ": simd disagrees on slab allocations");
-  BSMP_REQUIRE_MSG(
-      sim::same_values<D>(sim::extract_final<D>(guest.stencil, dense_staging),
-                          sim::extract_final<D>(guest.stencil, simd_staging)),
+      sim::same_values<D>(
+          dense_fin, sim::extract_final<D>(guest.stencil, simd_staging)),
       label << ": simd computed different guest values");
 
-  return {label, dense, simd, hash};
+  // Validation mode re-materializes every preboundary and out-set and
+  // asserts the topological-partition property; the count-based fast
+  // path must charge and stage exactly what it does.
+  sep::ExecutorConfig vcfg = hotpath::detail::exec_config(guest);
+  vcfg.validate = true;
+  sep::Executor<D> vexec(&guest, vcfg);
+  sep::StagingStore<D> valid_staging(&guest.stencil);
+  hotpath::ExecStats validated =
+      hotpath::detail::drive(guest, vexec, valid_staging);
+  require_same(label, "validated", validated, dense);
+  BSMP_REQUIRE_MSG(
+      sim::same_values<D>(
+          dense_fin, sim::extract_final<D>(guest.stencil, valid_staging)),
+      label << ": validated computed different guest values");
+
+  return {label, dense, simd, validated};
 }
 
 }  // namespace
@@ -98,22 +111,22 @@ std::vector<Emitted> hot_tables(EngineCtx& ctx) {
       },
       "hot configs");
 
-  core::Table t("HOT: executor hot path, dense flat staging (scalar and "
-                "SIMD kernel) vs hash-map baseline (same run)",
-                {"config", "store", "vertices", "peak staging", "slab allocs",
+  core::Table t("HOT: executor hot path, dense flat staging (scalar, "
+                "SIMD kernel, validation mode; same run)",
+                {"config", "run", "vertices", "peak staging", "slab allocs",
                  "cost total"});
   for (const HotRun& r : runs) {
-    const std::pair<const hotpath::ExecStats*, const char*> stores[] = {
-        {&r.dense, "dense"}, {&r.simd, "simd"}, {&r.hash, "hashmap"}};
-    for (const auto& [run, store] : stores) {
-      t.add_row({r.label, std::string(store),
+    const std::pair<const hotpath::ExecStats*, const char*> kinds[] = {
+        {&r.dense, "dense"}, {&r.simd, "simd"}, {&r.validated, "validated"}};
+    for (const auto& [run, kind] : kinds) {
+      t.add_row({r.label, std::string(kind),
                  static_cast<long long>(run->vertices),
                  static_cast<long long>(run->peak_staging_words),
                  static_cast<long long>(run->staging_allocs),
                  run->total_cost});
       if (ctx.metrics != nullptr) {
         engine::HotPathMetric h;
-        h.label = r.label + "/" + store;
+        h.label = r.label + "/" + kind;
         h.vertices = run->vertices;
         h.seconds = run->seconds;
         h.peak_staging_words = run->peak_staging_words;
@@ -127,10 +140,11 @@ std::vector<Emitted> hot_tables(EngineCtx& ctx) {
     }
   }
   return {{std::move(t),
-           "# Both stores must agree on every deterministic field above\n"
-           "# (asserted): only throughput may differ. Wall-clock numbers\n"
-           "# are recorded via engine::Metrics — see metrics_hot.json\n"
-           "# (\"hot\" array) and BENCH_exec_hotpath.json.\n"}};
+           "# All three runs agree on every deterministic field above, and\n"
+           "# dense matches the direct guest run (asserted): only throughput\n"
+           "# may differ. Wall-clock numbers are recorded via engine::Metrics\n"
+           "# — see metrics_hot.json (\"hot\" array) and\n"
+           "# BENCH_exec_hotpath.json.\n"}};
 }
 
 }  // namespace bsmp::tables

@@ -13,8 +13,8 @@
 // The emitter asserts the charging invariant the whole batching rests
 // on: the packed run's vertices, charged totals and peak staging are
 // bit-identical to a *scalar* run of the same stencil (charging is
-// count-based — it counts points, never lane contents), and the dense
-// StagingStore and hash-map ValueMap paths agree on everything. The
+// count-based — it counts points, never lane contents), and the packed
+// final lanes equal the direct guest run (sim::reference_run). The
 // emitted table carries only deterministic fields (lane digests,
 // counts, charged totals) and is golden-digested by the conformance
 // suite; wall-clock throughput goes to EngineCtx::metrics with
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "sim/observe.hpp"
+#include "sim/reference.hpp"
 #include "tables/detail.hpp"
 #include "tables/emitters.hpp"
 #include "tables/hotpath.hpp"
@@ -35,8 +36,9 @@ namespace {
 
 /// FNV-1a over the final rows in final_points order — a deterministic
 /// content digest of all 64 lanes at once.
-template <int D, class Store>
-std::uint64_t final_digest(const geom::Stencil<D>& st, const Store& staging) {
+template <int D>
+std::uint64_t final_digest(const geom::Stencil<D>& st,
+                           const sep::StagingStore<D>& staging) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t w) {
     for (int b = 0; b < 64; b += 8) {
@@ -45,7 +47,7 @@ std::uint64_t final_digest(const geom::Stencil<D>& st, const Store& staging) {
     }
   };
   for (const auto& q : sim::final_points<D>(st)) {
-    const sep::Word* v = sep::store_find(staging, q);
+    const sep::Word* v = staging.find(q);
     BSMP_REQUIRE_MSG(v != nullptr, "ensemble final value missing");
     mix(*v);
   }
@@ -92,26 +94,14 @@ sep::Guest<1> ens110_guest(std::int64_t n, std::int64_t horizon,
 template <int D>
 EnsRun ens_config(const std::string& label, const sep::Guest<D>& guest,
                   const sep::Guest<D>& scalar_guest) {
-  // Packed run, dense store and hash-map store: same executor, both
-  // stores must agree on every deterministic field and value.
+  // Packed run: every lane of every final row must equal the direct
+  // guest run, which steps the same packed words.
   sep::StagingStore<D> dense_staging(&guest.stencil);
   hotpath::ExecStats batch = hotpath::run_dense<D>(guest, dense_staging);
-  sep::ValueMap<D> map_staging;
-  {
-    sep::Executor<D> exec(&guest, hotpath::detail::exec_config(guest));
-    hotpath::ExecStats viamap =
-        hotpath::detail::drive(guest, exec, map_staging);
-    BSMP_REQUIRE_MSG(viamap.vertices == batch.vertices &&
-                         viamap.total_cost == batch.total_cost &&
-                         viamap.peak_staging_words == batch.peak_staging_words,
-                     label << ": dense and map stores disagree on "
-                              "deterministic fields");
-    BSMP_REQUIRE_MSG(
-        sim::same_values<D>(
-            sim::extract_final<D>(guest.stencil, dense_staging),
-            sim::extract_final<D>(guest.stencil, map_staging)),
-        label << ": dense and map stores computed different lane values");
-  }
+  BSMP_REQUIRE_MSG(
+      sim::same_values<D>(sim::extract_final<D>(guest.stencil, dense_staging),
+                          sim::reference_run(guest).final_values),
+      label << ": packed lanes diverged from the direct guest run");
 
   // The charging invariant: a packed 64-lane run charges exactly what
   // one scalar run of the same stencil charges — lanes ride for free.

@@ -1,20 +1,12 @@
 // The hot-path perf artifact ("hot" in the emitter registry): run the
 // full space-time volume of a guest through the topological-separator
-// executor twice in the same process —
-//
-//   * dense:   the flat-staging executor of sep/executor.hpp with a
-//              StagingStore<D> (O(1) window addressing, count-based
-//              charging, batched leaf charges);
-//   * hashmap: HashMapExecutor below, a line-for-line retention of the
-//              pre-flat-staging executor (hash-map staging for every
-//              value including the leaf interior, materialized
-//              preboundary/out-set vectors at every recursion level,
-//              two ledger charges per vertex) — the measured baseline.
-//
-// Both are driven through the same tile wavefronts as
-// sim::simulate_dc_uniproc, and both must agree exactly on vertices,
-// charged totals, peak staging, and every final value (asserted by the
-// emitter) — only the wall clock may differ. The deterministic fields
+// executor with a StagingStore<D> (O(1) window addressing, count-based
+// charging, batched leaf charges), driven through the same tile
+// wavefronts as sim::simulate_dc_uniproc. The "hot" emitter runs it
+// three ways — the guest's type-erased rule, a concrete SIMD row
+// kernel, and validation mode — and asserts they agree exactly on
+// vertices, charged totals, peak staging, slab allocations and every
+// final value; only the wall clock may differ. The deterministic fields
 // go into the emitted table; the timings go to engine::Metrics and
 // are serialized as metrics_hot.json / BENCH_exec_hotpath.json.
 #pragma once
@@ -33,171 +25,16 @@
 namespace bsmp::tables::hotpath {
 
 /// What one full-volume execution reports. The wall clock is the only
-/// field allowed to differ between the dense and hashmap runs.
+/// field allowed to differ between runs of one guest.
 struct ExecStats {
   std::int64_t vertices = 0;
   double seconds = 0;
   std::size_t peak_staging_words = 0;
-  std::size_t staging_allocs = 0;     ///< dense level slabs; 0 for hashmap
+  std::size_t staging_allocs = 0;     ///< level slabs allocated
   core::Cost total_cost = 0;          ///< ledger total (all cost kinds)
   double vertices_per_sec() const {
     return seconds > 0 ? static_cast<double>(vertices) / seconds : 0.0;
   }
-};
-
-/// The pre-flat-staging executor, kept verbatim as the baseline the
-/// "hot" artifact measures against: ValueMap staging throughout (the
-/// leaf interior lives in a per-leaf hash map), preboundary/out-set
-/// point vectors materialized at every recursion level, and one
-/// kCompute plus one kLocalAccess charge per vertex. Its charges are
-/// bit-identical to sep::Executor's batched ones by construction.
-template <int D>
-class HashMapExecutor {
- public:
-  HashMapExecutor(const sep::Guest<D>* guest, sep::ExecutorConfig cfg)
-      : guest_(guest), cfg_(cfg) {
-    BSMP_REQUIRE(guest != nullptr);
-    BSMP_REQUIRE(cfg_.leaf_width >= 1);
-  }
-
-  void set_ledger(core::CostLedger* ledger) { ledger_ = ledger; }
-
-  double space_bound(std::int64_t width) const {
-    double w = static_cast<double>(width);
-    double depth = static_cast<double>(
-        std::min<std::int64_t>(guest_->stencil.reach(), width));
-    double s = cfg_.space_const * depth;
-    for (int i = 0; i < D; ++i) s *= w;
-    return s + 8.0;
-  }
-
-  double leaf_space_bound(std::int64_t width) const {
-    double w = static_cast<double>(width);
-    double depth = static_cast<double>(
-        std::min<std::int64_t>(guest_->stencil.reach(), width));
-    double s = cfg_.leaf_space_const * depth;
-    for (int i = 0; i < D; ++i) s *= w;
-    return s + 8.0;
-  }
-
-  std::vector<geom::Point<D>> execute(const geom::Region<D>& U,
-                                      sep::ValueMap<D>& staging) {
-    BSMP_REQUIRE(ledger_ != nullptr);
-    std::vector<geom::Point<D>> out;
-    if (U.width() <= cfg_.leaf_width) {
-      execute_leaf(U, staging, out);
-      note_staging(staging);
-      return out;
-    }
-
-    const core::Cost fS =
-        cfg_.f(static_cast<std::uint64_t>(space_bound(U.width())));
-    std::vector<geom::Point<D>> produced;
-    for (const geom::Region<D>& child : U.split()) {
-      std::vector<geom::Point<D>> gin = child.preboundary();
-      for (const auto& q : gin) {
-        BSMP_ASSERT_MSG(staging.contains(q),
-                        "preboundary value missing: topological partition "
-                        "violated at width "
-                            << U.width());
-      }
-      ledger_->charge(core::CostKind::kBlockMove,
-                      2.0 * fS * static_cast<core::Cost>(gin.size()),
-                      gin.size());
-      std::vector<geom::Point<D>> child_out = execute(child, staging);
-      ledger_->charge(core::CostKind::kBlockMove,
-                      2.0 * fS * static_cast<core::Cost>(child_out.size()),
-                      child_out.size());
-      produced.insert(produced.end(), child_out.begin(), child_out.end());
-    }
-
-    out = U.outset();
-    sep::ValueMap<D> keep;
-    keep.reserve(out.size() * 2);
-    for (const auto& q : out) keep.emplace(q, 0);
-    for (const auto& q : produced) {
-      if (!keep.contains(q)) staging.erase(q);
-    }
-    note_staging(staging);
-    return out;
-  }
-
-  std::int64_t vertices_executed() const { return vertices_; }
-  std::size_t peak_staging() const { return peak_staging_; }
-
- private:
-  void note_staging(const sep::ValueMap<D>& staging) {
-    if (staging.size() > peak_staging_) peak_staging_ = staging.size();
-  }
-
-  void execute_leaf(const geom::Region<D>& U, sep::ValueMap<D>& staging,
-                    std::vector<geom::Point<D>>& out) {
-    const geom::Stencil<D>& st = guest_->stencil;
-    const core::Cost f_leaf =
-        cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(U.width())));
-    sep::ValueMap<D> local;
-
-    auto lookup = [&](const geom::Point<D>& q) -> sep::Word {
-      auto it = local.find(q);
-      if (it != local.end()) return it->second;
-      auto is = staging.find(q);
-      BSMP_ASSERT_MSG(is != staging.end(),
-                      "operand missing at leaf: topological partition or "
-                      "out-set computation is wrong");
-      return is->second;
-    };
-
-    U.for_each([&](const geom::Point<D>& p) {
-      sep::Word value;
-      int operands = 0;
-      if (p.t == 0) {
-        value = guest_->input(p.x, 0);
-        operands = 1;
-      } else {
-        sep::Word self_prev;
-        if (p.t >= st.m) {
-          geom::Point<D> q = p;
-          q.t = p.t - st.m;
-          self_prev = lookup(q);
-        } else {
-          self_prev = guest_->input(p.x, p.t % st.m);
-        }
-        sep::NeighborWords<D> nbrs{};
-        for (int i = 0; i < D; ++i) {
-          for (int s = 0; s < 2; ++s) {
-            geom::Point<D> q = p;
-            q.x[i] += (s == 0 ? -1 : 1);
-            q.t = p.t - 1;
-            if (st.in_space(q.x)) {
-              nbrs[2 * i + s] = lookup(q);
-              ++operands;
-            }
-          }
-        }
-        ++operands;
-        value = guest_->rule(p, self_prev, nbrs);
-      }
-      local.emplace(p, value);
-      ++vertices_;
-      ledger_->charge(core::CostKind::kCompute, 1.0);
-      ledger_->charge(core::CostKind::kLocalAccess,
-                      static_cast<core::Cost>(operands + 1) * f_leaf,
-                      static_cast<std::uint64_t>(operands + 1));
-    });
-
-    out = U.outset();
-    for (const auto& q : out) {
-      auto it = local.find(q);
-      BSMP_ASSERT_MSG(it != local.end(), "out-set point not executed");
-      staging.emplace(q, it->second);
-    }
-  }
-
-  const sep::Guest<D>* guest_;
-  sep::ExecutorConfig cfg_;
-  core::CostLedger* ledger_ = nullptr;
-  std::int64_t vertices_ = 0;
-  std::size_t peak_staging_ = 0;
 };
 
 namespace detail {
@@ -212,10 +49,10 @@ sep::ExecutorConfig exec_config(const sep::BasicGuest<D, V>& guest) {
 
 /// Drive `exec` over the full space-time volume in the same tile
 /// wavefronts sim::simulate_dc_uniproc uses, pruning staging between
-/// wavefronts; returns the staging store for final-value comparison.
-template <int D, class V, class Exec, class Store>
+/// wavefronts; `staging` keeps the final rows for value comparison.
+template <int D, class V, class Exec>
 ExecStats drive(const sep::BasicGuest<D, V>& guest, Exec& exec,
-                Store& staging) {
+                sep::StagingStore<D, V>& staging) {
   const geom::Stencil<D>& st = guest.stencil;
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
@@ -241,7 +78,7 @@ ExecStats drive(const sep::BasicGuest<D, V>& guest, Exec& exec,
                   .count();
   s.vertices = exec.vertices_executed();
   s.peak_staging_words = exec.peak_staging();
-  s.staging_allocs = sep::store_level_allocs(staging);
+  s.staging_allocs = staging.level_allocs();
   s.total_cost = ledger.total();
   return s;
 }
@@ -254,13 +91,6 @@ template <int D, class V>
 ExecStats run_dense(const sep::BasicGuest<D, V>& guest,
                     sep::StagingStore<D, V>& staging) {
   sep::Executor<D, V> exec(&guest, detail::exec_config(guest));
-  return detail::drive(guest, exec, staging);
-}
-
-/// Full-volume run through the retained hash-map baseline.
-template <int D>
-ExecStats run_hashmap(const sep::Guest<D>& guest, sep::ValueMap<D>& staging) {
-  HashMapExecutor<D> exec(&guest, detail::exec_config(guest));
   return detail::drive(guest, exec, staging);
 }
 

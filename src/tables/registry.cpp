@@ -21,8 +21,7 @@ const std::vector<Emitter>& all_emitters() {
       // the engine-backed advisor calibration.
       {"e6d", "Section 4.2: dense every-s A(s) ablation + fit", &e6_dense_tables},
       {"cal", "advisor calibration through the sweep engine", &calibration_tables},
-      {"hot", "executor hot path: dense staging (scalar + SIMD) vs "
-              "hash-map baseline",
+      {"hot", "executor hot path: dense staging (scalar, SIMD, validated)",
        &hot_tables},
       {"ens", "64-scenario bit-sliced ensembles in one charged pass",
        &ensemble_tables},

@@ -306,7 +306,7 @@ TEST(StagingArena, ShardMergeKeepsLevelAllocsEqualPooledAndCold) {
     sep::StagingStore<1> base(&st);
     base.insert(pt(0, 0), Word(1));
     for (int round = 0; round < 3; ++round) {
-      sep::StagingShard<1, sep::StagingStore<1>> shard(sep::overlay, base);
+      sep::StagingShard<1> shard(sep::overlay, base);
       shard.insert(pt(1, 1), Word(10 + round));
       shard.insert(pt(2, 4), Word(20 + round));
       // An insert erased again still pre-touches its level on merge.

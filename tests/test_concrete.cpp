@@ -99,7 +99,7 @@ TEST(Concrete, ChargesAgreeWithAbstractExecutor) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     geom::TileGrid<1> grid(&g.stencil, n);
-    sep::ValueMap<1> staging;
+    sep::StagingStore<1> staging(&g.stencil);
     for (const auto& wave : grid.wavefronts())
       for (const auto& t : wave) exec.execute(t, staging);
     double abstract = ledger.total();

@@ -28,11 +28,9 @@ using namespace bsmp;
 // an overlay on the copied-from object (dangling once it dies), so
 // copying must not compile — overlays are built with the sep::overlay
 // tag only.
-static_assert(!std::is_copy_constructible_v<
-                  sep::StagingShard<1, sep::StagingStore<1>>>,
+static_assert(!std::is_copy_constructible_v<sep::StagingShard<1>>,
               "StagingShard must not be copyable");
-static_assert(!std::is_copy_assignable_v<
-                  sep::StagingShard<2, sep::StagingStore<2>>>,
+static_assert(!std::is_copy_assignable_v<sep::StagingShard<2>>,
               "StagingShard must not be copy-assignable");
 
 namespace {
@@ -195,7 +193,7 @@ TEST_P(ExecutorSweep, MatchesReference) {
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
   geom::TileGrid<1> grid(&g.stencil, tile);
-  sep::ValueMap<1> staging;
+  sep::StagingStore<1> staging(&g.stencil);
   for (const auto& wave : grid.wavefronts())
     for (const auto& t : wave) exec.execute(t, staging);
 
@@ -412,7 +410,7 @@ TEST(FailureInjection, CorruptedStagingValuePropagatesToOutputs) {
   exec.set_ledger(&ledger);
 
   geom::TileGrid<1> grid(&g.stencil, 8);
-  sep::ValueMap<1> staging;
+  sep::StagingStore<1> staging(&g.stencil);
   bool corrupted = false;
   for (const auto& wave : grid.wavefronts()) {
     for (const auto& tile : wave) {
@@ -464,18 +462,21 @@ struct DriveOutcome {
 };
 
 /// Run the guest through the wavefront driver with the given grain and
-/// return everything the determinism contract pins. `Store` selects
-/// the staging type (dense StagingStore or ValueMap).
-template <int D, class Store>
-DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g, Store& staging,
-                                 int64_t tile, int64_t leaf, int64_t grain) {
+/// return everything the determinism contract pins. `validate` sets
+/// ExecutorConfig::validate (per-level materialization + asserts).
+template <int D>
+DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g, int64_t tile,
+                                 int64_t leaf, int64_t grain,
+                                 bool validate = sep::validation_mode()) {
   sep::ExecutorConfig cfg;
   cfg.leaf_width = leaf;
   cfg.f = hram::AccessFn::hierarchical(D, 4.0);
   cfg.parallel_grain = grain;
+  cfg.validate = validate;
   sep::Executor<D> exec(&g, cfg);
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
+  sep::StagingStore<D> staging(&g.stencil);
   geom::TileGrid<D> grid(&g.stencil, tile);
   for (const auto& wave : grid.wavefronts())
     for (const auto& t : wave) exec.execute(t, staging);
@@ -490,7 +491,7 @@ DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g, Store& staging,
   }
   out.vertices = exec.vertices_executed();
   out.peak = exec.peak_staging();
-  out.allocs = sep::store_level_allocs<D>(staging);
+  out.allocs = staging.level_allocs();
   out.fin = sim::extract_final<D>(g.stencil, staging);
   return out;
 }
@@ -499,37 +500,28 @@ DriveOutcome<D> drive_with_grain(const sep::Guest<D>& g, Store& staging,
 
 template <int D>
 void grain_pool_matrix(const sep::Guest<D>& g, int64_t tile, int64_t leaf) {
-  sep::StagingStore<D> ref_staging(&g.stencil);
-  auto ref = drive_with_grain<D>(g, ref_staging, tile, leaf, /*grain=*/0);
+  auto ref = drive_with_grain<D>(g, tile, leaf, /*grain=*/0);
+
+  // The serial run against its own validation mode (every preboundary
+  // and out-set re-materialized and asserted) and against the direct
+  // guest run: the count-based fast path changes no charge, peak,
+  // allocation or value.
+  ref.expect_eq(drive_with_grain<D>(g, tile, leaf, /*grain=*/0,
+                                    /*validate=*/true),
+                "validated d=" + std::to_string(D));
+  EXPECT_TRUE(sim::same_values<D>(ref.fin, sim::reference_run(g).final_values))
+      << "dense d=" << D << " diverged from the reference run";
 
   for (int64_t grain : {int64_t{2}, int64_t{1} << 30}) {
     for (int threads : {1, 2, 4}) {
       engine::Pool pool(threads);
       auto bind = pool.bind_caller();
-      sep::StagingStore<D> staging(&g.stencil);
-      auto got = drive_with_grain<D>(g, staging, tile, leaf, grain);
+      auto got = drive_with_grain<D>(g, tile, leaf, grain);
       ref.expect_eq(got, "dense d=" + std::to_string(D) + " grain=" +
                              std::to_string(grain) + " threads=" +
                              std::to_string(threads));
     }
   }
-
-  // ValueMap staging through the same matrix: the shard fall-through
-  // and merge must be store-agnostic (allocs are 0 on both sides).
-  sep::ValueMap<D> ref_map;
-  auto refm = drive_with_grain<D>(g, ref_map, tile, leaf, /*grain=*/0);
-  for (int threads : {2, 4}) {
-    engine::Pool pool(threads);
-    auto bind = pool.bind_caller();
-    sep::ValueMap<D> staging;
-    auto got = drive_with_grain<D>(g, staging, tile, leaf, /*grain=*/2);
-    refm.expect_eq(got, "map d=" + std::to_string(D) + " threads=" +
-                            std::to_string(threads));
-  }
-  // And the two staging types agree with each other.
-  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i)
-    EXPECT_EQ(ref.cost_bits[i], refm.cost_bits[i]) << "store-type drift";
-  EXPECT_TRUE(sim::same_values<D>(ref.fin, refm.fin));
 }
 
 TEST(ParallelGrainIdentity, D1VolumeBitIdenticalAcrossGrainAndPool) {
@@ -575,7 +567,8 @@ TEST(ParallelGrainIdentity, MultiprocWaveForkingBitIdentical) {
 // bit-identical to the serial run — per-kind charged costs (bitwise
 // doubles), event counts, virtual time, utilization, vertices, peak
 // staging, slab allocations, final values, and the emitted op stream —
-// across Pool {1,2,4} × grain {off, 2, huge} × store {dense, hashmap}.
+// across Pool {1,2,4} × grain {off, 2, huge}; the serial run itself is
+// pinned to validation mode and to the reference run.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -600,22 +593,27 @@ struct MpGrains {
   int64_t reloc, wave, exec;
 };
 
-/// Run the multiproc simulator under one (grains, store) config and
-/// return everything the determinism contract pins.
-template <int D, class Store, class V>
+/// Run the multiproc simulator under one grains config (and, with
+/// `validate`, the executor in validation mode) and return everything
+/// the determinism contract pins.
+template <int D, class V>
 MpOutcome run_multiproc(const sep::BasicGuest<D, V>& g,
                         const machine::MachineSpec& host, int64_t s,
-                        MpGrains grains, sep::BasicValueMap<D, V>& fin_out) {
+                        MpGrains grains, sep::BasicValueMap<D, V>& fin_out,
+                        bool validate = sep::validation_mode()) {
   const int64_t saved = sep::default_parallel_grain();
+  const bool saved_validate = sep::validation_mode();
   sep::set_default_parallel_grain(grains.exec);
+  sep::set_validation_mode(validate);
   engine::Metrics metrics;
   sim::MultiprocConfig cfg;
   cfg.s = s;
   cfg.reloc_grain = grains.reloc;
   cfg.wave_grain = grains.wave;
   cfg.metrics = &metrics;
-  auto res = sim::simulate_multiproc<D, V, Store>(g, host, cfg);
+  auto res = sim::simulate_multiproc<D, V>(g, host, cfg);
   sep::set_default_parallel_grain(saved);
+  sep::set_validation_mode(saved_validate);
 
   MpOutcome out;
   for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i) {
@@ -650,10 +648,10 @@ void expect_mp_eq(const MpOutcome& a, const MpOutcome& b,
   EXPECT_EQ(a.allocs, b.allocs) << what << ": slab allocs";
 }
 
-/// The full matrix for one guest: serial dense reference vs every
-/// (grain combo, pool size) on both staging types. Grain combos turn
-/// each mechanism on alone and all together, plus a huge grain that
-/// must behave exactly like off.
+/// The full matrix for one guest: serial reference vs every (grain
+/// combo, pool size), and the serial run vs its validation mode and
+/// the direct guest run. Grain combos turn each mechanism on alone and
+/// all together, plus a huge grain that must behave exactly like off.
 template <int D, class V>
 void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
                            const machine::MachineSpec& host, int64_t s) {
@@ -668,16 +666,25 @@ void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
   };
 
   sep::BasicValueMap<D, V> ref_fin;
-  auto ref = run_multiproc<D, sep::StagingStore<D, V>>(g, host, s, kOff,
-                                                       ref_fin);
+  auto ref = run_multiproc<D>(g, host, s, kOff, ref_fin);
+
+  // Validation mode re-materializes and asserts every preboundary and
+  // out-set; it must leave every pinned field where the fast path put
+  // it, and the serial values must be the guest's own.
+  sep::BasicValueMap<D, V> valid_fin;
+  auto valid =
+      run_multiproc<D>(g, host, s, kOff, valid_fin, /*validate=*/true);
+  expect_mp_eq(ref, valid, "validated d=" + std::to_string(D));
+  EXPECT_TRUE(sim::same_values<D>(ref_fin, valid_fin));
+  EXPECT_TRUE(sim::same_values<D>(ref_fin, sim::reference_run(g).final_values))
+      << "multiproc d=" << D << " diverged from the reference run";
 
   for (const MpGrains& gr : combos) {
     for (int threads : {1, 2, 4}) {
       engine::Pool pool(threads);
       auto bind = pool.bind_caller();
       sep::BasicValueMap<D, V> fin;
-      auto got =
-          run_multiproc<D, sep::StagingStore<D, V>>(g, host, s, gr, fin);
+      auto got = run_multiproc<D>(g, host, s, gr, fin);
       const std::string what =
           "dense d=" + std::to_string(D) + " reloc=" +
           std::to_string(gr.reloc) + " wave=" + std::to_string(gr.wave) +
@@ -687,30 +694,6 @@ void multiproc_fork_matrix(const sep::BasicGuest<D, V>& g,
       EXPECT_TRUE(sim::same_values<D>(ref_fin, fin)) << what;
     }
   }
-
-  // Hashmap staging through the same forks: the shard fall-through and
-  // merge must be store-agnostic (allocs are 0 on both sides).
-  sep::BasicValueMap<D, V> refm_fin;
-  auto refm = run_multiproc<D, sep::BasicValueMap<D, V>>(g, host, s, kOff,
-                                                         refm_fin);
-  for (int threads : {2, 4}) {
-    engine::Pool pool(threads);
-    auto bind = pool.bind_caller();
-    sep::BasicValueMap<D, V> fin;
-    auto got = run_multiproc<D, sep::BasicValueMap<D, V>>(
-        g, host, s, MpGrains{2, 2, 2}, fin);
-    const std::string what =
-        "map d=" + std::to_string(D) + " threads=" + std::to_string(threads);
-    expect_mp_eq(refm, got, what);
-    EXPECT_TRUE(sim::same_values<D>(refm_fin, fin)) << what;
-  }
-  // And the two staging types agree on everything but slab allocs
-  // (a hashmap never allocates level slabs).
-  for (std::size_t i = 0; i < core::CostLedger::kNumKinds; ++i)
-    EXPECT_EQ(ref.cost_bits[i], refm.cost_bits[i]) << "store-type drift";
-  EXPECT_EQ(ref.time_bits, refm.time_bits) << "store-type drift: time";
-  EXPECT_EQ(ref.peak, refm.peak) << "store-type drift: peak";
-  EXPECT_TRUE(sim::same_values<D>(ref_fin, refm_fin));
 }
 
 }  // namespace

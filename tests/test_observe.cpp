@@ -53,18 +53,26 @@ TEST(FinalPoints, D2AndD3Counts) {
 TEST(ExtractFinal, PullsExactlyTheFinalPoints) {
   auto g = workload::make_mix_guest<1>({4}, 8, 2, 3);
   auto ref = sim::reference_run<1>(g);
-  // extract_final over a superset staging map returns only the finals.
-  sep::ValueMap<1> staging = ref.final_values;
-  staging.emplace(Point<1>{{0}, 0}, 999);
+  // extract_final over a superset staging store returns only the finals.
+  sep::StagingStore<1> staging(&g.stencil);
+  for (const auto& [q, v] : ref.final_values) staging.insert(q, v);
+  staging.insert(Point<1>{{0}, 0}, 999);
   auto fin = sim::extract_final<1>(g.stencil, staging);
   EXPECT_EQ(fin.size(), 8u);
   EXPECT_FALSE(fin.contains(Point<1>{{0}, 0}));
+  // The value-map overload (schedule runs) filters the same way.
+  sep::ValueMap<1> values = ref.final_values;
+  values.emplace(Point<1>{{0}, 0}, 999);
+  EXPECT_TRUE(sim::same_values<1>(sim::extract_final<1>(g.stencil, values),
+                                  fin));
 }
 
 TEST(ExtractFinal, MissingValueIsAnInvariantError) {
   Stencil<1> st{{4}, 4, 1};
-  sep::ValueMap<1> empty;
+  sep::StagingStore<1> empty(&st);
   EXPECT_THROW(sim::extract_final<1>(st, empty), bsmp::invariant_error);
+  EXPECT_THROW(sim::extract_final<1>(st, sep::ValueMap<1>{}),
+               bsmp::invariant_error);
 }
 
 TEST(SameValues, DetectsEveryKindOfMismatch) {

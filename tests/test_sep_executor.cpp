@@ -13,7 +13,7 @@
 using namespace bsmp;
 using sep::Executor;
 using sep::ExecutorConfig;
-using sep::ValueMap;
+using sep::StagingStore;
 
 namespace {
 
@@ -31,7 +31,7 @@ void check_equivalence(sep::Guest<D> guest, int64_t tile_w, int64_t leaf_w) {
   exec.set_ledger(&ledger);
 
   geom::TileGrid<D> grid(&guest.stencil, tile_w);
-  ValueMap<D> staging;
+  StagingStore<D> staging(&guest.stencil);
   for (const auto& wave : grid.wavefronts())
     for (const auto& tile : wave) exec.execute(tile, staging);
 
@@ -113,9 +113,9 @@ TEST(Executor, PeakStagingWithinSpaceBound) {
     exec.set_ledger(&ledger);
     geom::Region<1> d = geom::make_diamond(&g.stencil, 16, -r / 2, r);
     ASSERT_FALSE(d.empty());
-    ValueMap<1> staging;
+    StagingStore<1> staging(&g.stencil);
     // Seed the preboundary with arbitrary values.
-    for (const auto& q : d.preboundary()) staging.emplace(q, 1);
+    for (const auto& q : d.preboundary()) staging.insert(q, 1);
     exec.execute(d, staging);
     EXPECT_LE(static_cast<double>(exec.peak_staging()),
               exec.space_bound(r))
@@ -138,8 +138,8 @@ TEST(Executor, CostWithinProposition3Bound) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     geom::Region<1> d = geom::make_diamond(&g.stencil, 32, -r / 2, r);
-    ValueMap<1> staging;
-    for (const auto& q : d.preboundary()) staging.emplace(q, 1);
+    StagingStore<1> staging(&g.stencil);
+    for (const auto& q : d.preboundary()) staging.insert(q, 1);
     exec.execute(d, staging);
     double k = static_cast<double>(d.count());
     double norm = ledger.total() / (k * core::logbar(k));
@@ -164,7 +164,7 @@ TEST(Executor, LeafWidthDoesNotChangeValues) {
     core::CostLedger ledger;
     exec.set_ledger(&ledger);
     geom::TileGrid<1> grid(&g.stencil, 8);
-    ValueMap<1> staging;
+    StagingStore<1> staging(&g.stencil);
     for (const auto& wave : grid.wavefronts())
       for (const auto& tile : wave) exec.execute(tile, staging);
     auto fin = sim::extract_final<1>(g.stencil, staging);
@@ -176,7 +176,7 @@ TEST(Executor, RequiresLedger) {
   auto g = workload::make_mix_guest<1>({4}, 4, 1, 1);
   Executor<1> exec(&g, ExecutorConfig{});
   geom::TileGrid<1> grid(&g.stencil, 4);
-  ValueMap<1> staging;
+  StagingStore<1> staging(&g.stencil);
   auto waves = grid.wavefronts();
   ASSERT_FALSE(waves.empty());
   ASSERT_FALSE(waves[0].empty());
@@ -184,7 +184,7 @@ TEST(Executor, RequiresLedger) {
 }
 
 TEST(Executor, MissingPreboundaryTriggersInvariantError) {
-  // Executing an interior diamond with an empty staging map must trip
+  // Executing an interior diamond with an empty staging store must trip
   // the runtime topological-partition assertion, not silently compute.
   auto g = workload::make_mix_guest<1>({16}, 16, 1, 3);
   ExecutorConfig cfg;
@@ -194,6 +194,6 @@ TEST(Executor, MissingPreboundaryTriggersInvariantError) {
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
   geom::Region<1> d = geom::make_diamond(&g.stencil, 8, -4, 8);
-  ValueMap<1> staging;  // missing Γin
+  StagingStore<1> staging(&g.stencil);  // missing Γin
   EXPECT_THROW(exec.execute(d, staging), bsmp::invariant_error);
 }

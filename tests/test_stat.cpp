@@ -119,6 +119,42 @@ std::string gbench_doc(const std::string& hostname, int num_cpus,
   return os.str();
 }
 
+/// One google-benchmark row of benchmark `run`: the iteration row when
+/// `agg` is empty, else its `agg` aggregate (mean, median, stddev, cv).
+std::string gbench_row(const std::string& run, const std::string& agg,
+                       double vps) {
+  std::ostringstream os;
+  os << R"({"name": ")" << run << (agg.empty() ? "" : "_" + agg)
+     << R"(", "run_name": ")" << run << R"(", "run_type": ")"
+     << (agg.empty() ? "iteration" : "aggregate") << '"';
+  if (!agg.empty()) os << R"(, "aggregate_name": ")" << agg << '"';
+  os << R"(, "real_time": 1.0, "time_unit": "ns", "vertices_per_sec": )"
+     << vps << "}";
+  return os.str();
+}
+
+/// The four aggregate rows a --benchmark_repetitions run keeps for one
+/// benchmark; `spread` is its stddev.
+std::vector<std::string> aggregated(const std::string& run, double vps,
+                                    double spread) {
+  return {gbench_row(run, "mean", vps), gbench_row(run, "median", vps),
+          gbench_row(run, "stddev", spread),
+          gbench_row(run, "cv", spread / vps)};
+}
+
+/// A google-benchmark document from host "box" (4 cpus) with `rows`.
+std::string gbench_rows_doc(const std::vector<std::string>& rows) {
+  std::ostringstream os;
+  os << R"({"context": {"host_name": "box", "num_cpus": 4,
+              "executable": "./bench_unit",
+              "library_build_type": "release"},
+  "benchmarks": [)";
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    os << (i == 0 ? "" : ", ") << rows[i];
+  os << "]}";
+  return os.str();
+}
+
 // Keyed by baseline *basename* — write_file prefixes "bsmp_stat_".
 const char* kTolerances = R"({
   "files": {
@@ -131,6 +167,9 @@ const char* kTolerances = R"({
          "den": "BM_leaf_dense", "metric": "vertices_per_sec",
          "min": 100.0, "min_cpus": 64}
       ],
+      "drift": [{"metric": "vertices_per_sec", "rel_tol": 0.25}]
+    },
+    "bsmp_stat_agg_base.json": {
       "drift": [{"metric": "vertices_per_sec", "rel_tol": 0.25}]
     },
     "bsmp_stat_metrics_base.json": {
@@ -272,6 +311,63 @@ TEST(StatDiff, CrossHardwareDriftIsRefusedNotGated) {
               cand},
              &out);
   EXPECT_EQ(code, stat::kExitRefused) << out;
+}
+
+TEST(StatDiff, AggregatedBaselineGatesSingleRunCandidate) {
+  // A committed --benchmark_repetitions baseline against a fresh
+  // single-run CI candidate on the same host: the drift gate must
+  // resolve BM_exec on both sides and fire on a 2x throughput drop.
+  auto tol = write_file("tol.json", kTolerances);
+  auto base = write_file("agg_base.json",
+                         gbench_rows_doc(aggregated("BM_exec", 1000, 50)));
+  auto same = write_file("cand_same.json",
+                         gbench_rows_doc({gbench_row("BM_exec", "", 950)}));
+  auto slow = write_file("cand_slow.json",
+                         gbench_rows_doc({gbench_row("BM_exec", "", 500)}));
+  std::string out;
+  EXPECT_EQ(cli({"diff", "--tolerances", tol, base, same}, &out),
+            stat::kExitOk)
+      << out;
+  EXPECT_NE(out.find("ok    BM_exec vertices_per_sec"), std::string::npos)
+      << out;
+  EXPECT_EQ(cli({"diff", "--tolerances", tol, base, slow}, &out),
+            stat::kExitRegression)
+      << out;
+  EXPECT_NE(out.find("FAIL  BM_exec vertices_per_sec"), std::string::npos)
+      << out;
+}
+
+TEST(StatDiff, BaselineBenchmarkMissingFromCandidateFails) {
+  auto tol = write_file("tol.json", kTolerances);
+  auto rows = aggregated("BM_exec", 1000, 50);
+  for (auto& r : aggregated("BM_gone", 1000, 50)) rows.push_back(r);
+  auto base = write_file("agg_base.json", gbench_rows_doc(rows));
+  auto cand = write_file("cand.json",
+                         gbench_rows_doc({gbench_row("BM_exec", "", 1000)}));
+  std::string out;
+  EXPECT_EQ(cli({"diff", "--tolerances", tol, base, cand}, &out),
+            stat::kExitRegression)
+      << out;
+  EXPECT_NE(out.find("BM_gone: baseline benchmark missing from candidate"),
+            std::string::npos)
+      << out;
+}
+
+TEST(StatDiff, SpreadRowsAreNeverGated) {
+  // Both sides aggregated, equal medians and means, a 10x smaller
+  // stddev/cv in the candidate: spread is not a rate, so nothing fires.
+  auto tol = write_file("tol.json", kTolerances);
+  auto base = write_file("agg_base.json",
+                         gbench_rows_doc(aggregated("BM_exec", 1000, 50)));
+  auto cand = write_file("cand.json",
+                         gbench_rows_doc(aggregated("BM_exec", 1000, 5)));
+  std::string out;
+  EXPECT_EQ(cli({"diff", "--tolerances", tol, base, cand}, &out),
+            stat::kExitOk)
+      << out;
+  EXPECT_NE(out.find("0 regressions"), std::string::npos) << out;
+  EXPECT_EQ(out.find("_stddev"), std::string::npos) << out;
+  EXPECT_EQ(out.find("_cv"), std::string::npos) << out;
 }
 
 TEST(StatDiff, MetricsSelfCompareIsClean) {
