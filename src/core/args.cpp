@@ -1,6 +1,8 @@
 #include "core/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "core/expect.hpp"
@@ -64,9 +66,12 @@ std::int64_t Args::get_int(const std::string& name,
                            std::int64_t fallback) const {
   auto v = get(name);
   if (!v) return fallback;
+  // Reject an empty value and one outside the int64 range, which
+  // strtoll would otherwise read as 0 and as INT64_MIN/MAX.
   char* end = nullptr;
+  errno = 0;
   long long r = std::strtoll(v->c_str(), &end, 10);
-  BSMP_REQUIRE_MSG(end && *end == '\0',
+  BSMP_REQUIRE_MSG(!v->empty() && end && *end == '\0' && errno != ERANGE,
                    "--" << name << " expects an integer, got '" << *v << "'");
   return static_cast<std::int64_t>(r);
 }
@@ -74,9 +79,11 @@ std::int64_t Args::get_int(const std::string& name,
 double Args::get_double(const std::string& name, double fallback) const {
   auto v = get(name);
   if (!v) return fallback;
+  // Reject an empty value and a non-finite one (an overflow such as
+  // 1e999 reads as inf).
   char* end = nullptr;
   double r = std::strtod(v->c_str(), &end);
-  BSMP_REQUIRE_MSG(end && *end == '\0',
+  BSMP_REQUIRE_MSG(!v->empty() && end && *end == '\0' && std::isfinite(r),
                    "--" << name << " expects a number, got '" << *v << "'");
   return r;
 }

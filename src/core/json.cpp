@@ -30,6 +30,12 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting value() recurses into; a deeper
+  /// document fails with a located error instead of overflowing the
+  /// stack. The metrics, trace and baseline files bsmp writes nest about
+  /// 8 levels deep.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : s_(text) {}
 
   Parsed run() {
@@ -205,6 +211,11 @@ class Parser {
     skip_ws();
     if (pos_ >= s_.size()) return fail("unexpected end of document");
     char c = s_[pos_];
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth)
+        return fail("nesting deeper than " + std::to_string(kMaxDepth));
+      ++depth_;
+    }
     switch (c) {
       case '{': {
         ++pos_;
@@ -212,6 +223,7 @@ class Parser {
         skip_ws();
         if (pos_ < s_.size() && s_[pos_] == '}') {
           ++pos_;
+          --depth_;
           out = Value(std::move(m));
           return true;
         }
@@ -229,6 +241,7 @@ class Parser {
             continue;
           }
           if (!eat('}')) return false;
+          --depth_;
           out = Value(std::move(m));
           return true;
         }
@@ -239,6 +252,7 @@ class Parser {
         skip_ws();
         if (pos_ < s_.size() && s_[pos_] == ']') {
           ++pos_;
+          --depth_;
           out = Value(std::move(a));
           return true;
         }
@@ -252,6 +266,7 @@ class Parser {
             continue;
           }
           if (!eat(']')) return false;
+          --depth_;
           out = Value(std::move(a));
           return true;
         }
@@ -281,6 +296,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers value() is currently inside
   std::string error_;
 };
 

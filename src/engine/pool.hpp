@@ -1,38 +1,35 @@
 // Thread pool backing the sweep engine.
 //
-// A Pool owns `threads - 1` persistent worker threads; the caller of
-// parallel_for is the remaining executor, so Pool(k) runs a sweep on
-// exactly k threads and Pool(1) degenerates to a plain sequential loop
-// on the calling thread (no workers, no synchronization) — the
-// reference execution the conformance tests compare against.
+// A Pool owns `threads - 1` persistent worker threads and the
+// work-stealing fork-join scheduler they serve (engine/task.hpp): every
+// worker binds one TaskScheduler deque slot for its lifetime and runs
+// TaskScheduler::work, and the caller of parallel_for is the remaining
+// executor on slot 0. So Pool(k) runs a sweep on exactly k threads, and
+// Pool(1) has no workers and runs every index inline, in index order, on
+// the calling thread — the reference execution the conformance tests
+// compare against.
 //
-// parallel_for(n, body) runs body(0..n-1) with dynamic index
-// distribution and blocks until every index has completed. Exceptions
-// thrown by body are captured; after all indices have run, the
-// exception of the *lowest-index* failing point is rethrown, so error
-// reporting is deterministic regardless of thread interleaving.
+// parallel_for(n, body) is one TaskScope: it forks body(i) for every
+// i in [0, n) and joins. The joining caller runs its own forks newest
+// first while idle workers steal the older half, and the call blocks
+// until every index has completed. Exceptions thrown by body are
+// captured; after all indices have run, the exception of the
+// *lowest-index* failing point is rethrown, so error reporting is
+// deterministic regardless of thread interleaving.
 //
-// The pool also hosts a work-stealing fork-join layer (engine/task.hpp):
-// every pool thread owns one TaskScheduler deque slot, and idle workers
-// drain queued tasks between (and during) parallel_for jobs. That makes
-// parallelism nestable:
-//   * code running on a pool thread may open an engine::TaskScope and
-//     fork subtasks into the same worker set (the separator executor
-//     does this per recursion node);
-//   * a *nested* parallel_for on the same pool — a body calling back
-//     into its own pool, which formerly deadlocked — is detected via
-//     the thread's scheduler binding and routed through a TaskScope,
-//     preserving the run-all / lowest-index-exception contract;
-//   * bind_caller() hands the calling thread a slot so fork-join work
+// Parallelism nests:
+//   * code running on a pool thread may open its own engine::TaskScope
+//     and fork subtasks into the same worker set (the separator
+//     executor does this per recursion node);
+//   * a parallel_for made from a pool thread (a body calling back into
+//     its own pool) keeps that thread's slot and forks into the same
+//     scheduler, so it cannot deadlock;
+//   * bind_caller() hands the calling thread slot 0 so fork-join work
 //     can be driven without a surrounding parallel_for.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -52,7 +49,8 @@ class Pool {
   /// Total executors (workers + the calling thread of parallel_for).
   int size() const { return size_; }
 
-  /// Run body(i) for every i in [0, n); blocks until all complete.
+  /// Run body(i) for every i in [0, n); blocks until all complete. A
+  /// thread not already on this pool binds slot 0 for the call.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
@@ -76,29 +74,8 @@ class Pool {
   static int hardware_threads();
 
  private:
-  void worker_loop(int slot);
-  void drain();
-  void record_error(std::size_t index);
-
   int size_ = 1;
   TaskScheduler sched_;
-
-  std::mutex mu_;
-  std::condition_variable cv_work_;   // workers wait for a job or tasks
-  std::condition_variable cv_done_;   // caller waits for completion
-  std::uint64_t generation_ = 0;      // bumped per parallel_for
-  bool stop_ = false;
-
-  // Current job (valid while remaining_ > 0 or draining_ > 0).
-  const std::function<void(std::size_t)>* body_ = nullptr;
-  std::size_t n_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> remaining_{0};
-  int draining_ = 0;  // workers currently inside drain(), guarded by mu_
-
-  std::exception_ptr error_;
-  std::size_t error_index_ = 0;
-
   std::vector<std::thread> workers_;
 };
 

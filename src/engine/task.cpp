@@ -88,7 +88,7 @@ void TaskScheduler::push(int slot, Task t) {
     s.q.push_back(std::move(t));
   }
   notify_progress();
-  if (wake_) wake_();
+  idle_cv_.notify_all();
 }
 
 bool TaskScheduler::try_acquire(int slot, Task& out) {
@@ -157,9 +157,22 @@ void TaskScheduler::run(Task& t) {
   t.scope->finished();
 }
 
-void TaskScheduler::run_pending(int slot) {
-  Task t;
-  while (try_acquire(slot, t)) run(t);
+void TaskScheduler::work(int slot) {
+  Bind bind(this, slot);
+  for (;;) {
+    for (Task t; try_acquire(slot, t);) run(t);
+    std::unique_lock<std::mutex> lk(sleep_mu_);
+    idle_cv_.wait(lk, [&] { return stop_ || has_pending(); });
+    if (stop_) return;
+  }
+}
+
+void TaskScheduler::stop() {
+  {
+    std::lock_guard<std::mutex> lk(sleep_mu_);
+    stop_ = true;
+  }
+  idle_cv_.notify_all();
 }
 
 void TaskScheduler::notify_progress() {

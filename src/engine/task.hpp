@@ -1,15 +1,18 @@
-// Work-stealing fork-join layer under the sweep engine.
+// Work-stealing fork-join layer: the one scheduler under the engine.
 //
-// Pool::parallel_for distributes *sweep points*; this layer lets work
-// nest *inside* a point: any code running on a pool thread (a sweep
-// body, or a task itself) can open a TaskScope, fork subtasks into the
-// same worker set, and join them — no second pool, no dedicated
-// threads. The separator executor uses it to run sibling subregions of
-// one recursion node concurrently (doc/ENGINE.md "Task layer").
+// Every parallel step runs here. Pool::parallel_for forks one task per
+// sweep point into a TaskScope, and any code running on a pool thread
+// (a sweep point, or a task itself) can open its own TaskScope, fork
+// subtasks into the same worker set, and join them — no second pool,
+// no dedicated threads. The separator executor uses it to run sibling
+// subregions of one recursion node concurrently (doc/ENGINE.md "Task
+// layer").
 //
 // Scheduling model:
 //   * every pool thread (workers and the parallel_for caller) owns one
-//     deque slot of the pool's TaskScheduler;
+//     deque slot of the pool's TaskScheduler; workers run work(), which
+//     parks them on their own condition variable while every deque is
+//     empty, and only a push() wakes them;
 //   * fork() pushes onto the forking thread's deque (LIFO for the
 //     owner — depth-first, cache-friendly);
 //   * an idle thread steals the *older half* of a victim's deque
@@ -26,8 +29,7 @@
 //
 // Exceptions: a task's exception is captured in its scope; join()
 // rethrows the exception of the *lowest fork index* that failed, after
-// every fork has completed — the same deterministic-error contract as
-// Pool::parallel_for.
+// every fork has completed. Pool::parallel_for inherits this contract.
 #pragma once
 
 #include <array>
@@ -143,9 +145,9 @@ class TaskScheduler {
   /// Slot of the calling thread (meaningful when current() != nullptr).
   static int current_slot();
 
-  /// RAII binding of the calling thread to a deque slot. Pool binds its
-  /// workers for their lifetime and the parallel_for caller for the
-  /// duration of the job; Pool::bind_caller() exposes the same binding
+  /// RAII binding of the calling thread to a deque slot. work() binds a
+  /// worker for its lifetime and Pool::parallel_for binds its caller for
+  /// the duration of the call; Pool::bind_caller() exposes the same binding
   /// for code that drives fork-join work without a surrounding
   /// parallel_for. Saves and restores the previous binding.
   ///
@@ -169,17 +171,13 @@ class TaskScheduler {
     bool owned_ = false;  // this Bind claimed the slot (outermost holder)
   };
 
-  /// Hook invoked after a task is enqueued; the Pool uses it to wake
-  /// idle workers so they start draining the deques.
-  void set_wake(std::function<void()> wake) { wake_ = std::move(wake); }
+  /// Worker loop: binds the calling thread to `slot`, runs queued tasks
+  /// (own deque first, then steals) and parks while every deque is
+  /// empty, until stop(). Pool runs one per worker thread.
+  void work(int slot);
 
-  /// True while any task sits in a deque.
-  bool has_pending() const {
-    return pending_.load(std::memory_order_acquire) != 0;
-  }
-
-  /// Run queued tasks until none are pending (idle pool workers).
-  void run_pending(int slot);
+  /// Make every work() loop return once it next finds no task to run.
+  void stop();
 
   /// Snapshot of the counters (relaxed reads; exact once quiescent).
   TaskStats stats() const;
@@ -205,8 +203,14 @@ class TaskScheduler {
     std::atomic<std::thread::id> owner{};
   };
 
-  /// Enqueue onto `slot`'s deque and wake sleepers.
+  /// Enqueue onto `slot`'s deque and wake parked joiners and idle
+  /// workers.
   void push(int slot, Task t);
+
+  /// True while any task sits in a deque.
+  bool has_pending() const {
+    return pending_.load(std::memory_order_acquire) != 0;
+  }
 
   /// Pop the newest task of the own deque, else steal the older half of
   /// some victim's deque (executing the first, depositing the rest on
@@ -223,11 +227,15 @@ class TaskScheduler {
   int nslots_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::atomic<std::size_t> pending_{0};
-  std::function<void()> wake_;
 
-  // Parking lot for joiners that found no runnable work.
+  // Parking lot. Joiners that found no runnable work wait on sleep_cv_
+  // (a finished task or a new one wakes them); idle workers wait on
+  // idle_cv_, which only push() and stop() notify, so a finishing scope
+  // never wakes the whole worker set.
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
+  std::condition_variable idle_cv_;
+  bool stop_ = false;  // guarded by sleep_mu_
 
   std::atomic<std::uint64_t> spawned_{0};
   std::atomic<std::uint64_t> inlined_{0};
@@ -249,8 +257,7 @@ class TaskScheduler {
 /// blocks until every fork has completed, helping with queued work
 /// meanwhile, and rethrows the lowest-fork-index exception. Scopes
 /// nest freely: a task may open its own TaskScope on the same
-/// scheduler, and nested Pool::parallel_for calls are routed through
-/// one (pool.hpp).
+/// scheduler, and every Pool::parallel_for call is one (pool.hpp).
 class TaskScope {
  public:
   /// Captures the calling thread's ambient scheduler (may be none).

@@ -301,13 +301,13 @@ class Executor {
       if (cur > peak) peak = cur;
     }
     void insert(const geom::Point<D>& q, const V& v) {
-      if (store_insert(*staging, q, v)) ++cur;
+      if (staging->insert(q, v)) ++cur;
     }
     void insert_span(const geom::Point<D>& q, const V* src, std::size_t n) {
-      cur += store_insert_span(*staging, q, src, n);
+      cur += staging->insert_span(q, src, n);
     }
     void erase(const geom::Point<D>& q) {
-      if (store_erase(*staging, q)) --cur;
+      if (staging->erase(q)) --cur;
     }
   };
 
@@ -481,7 +481,7 @@ class Executor {
     BSMP_ASSERT_MSG(static_cast<std::int64_t>(gin.size()) == count,
                     "preboundary_count != |preboundary()|");
     for (const auto& q : gin) {
-      BSMP_ASSERT_MSG(store_find(staging, q) != nullptr,
+      BSMP_ASSERT_MSG(staging.find(q) != nullptr,
                       "preboundary value missing: topological partition "
                       "violated at width "
                           << width);
@@ -500,7 +500,7 @@ class Executor {
     std::vector<geom::Point<D>> out = U.outset();
     for (const auto& q : out) {
       BSMP_ASSERT_MSG(U.in_outset(q), "in_outset rejects an outset() point");
-      BSMP_ASSERT_MSG(store_find(staging, q) != nullptr,
+      BSMP_ASSERT_MSG(staging.find(q) != nullptr,
                       "out-set value missing");
     }
   }
@@ -523,7 +523,7 @@ class Executor {
       // q is a vertex; inside the leaf box it was already executed
       // (topological order), so its value sits in the dense window.
       if (q.t >= tmin && U.in_box(q)) return win[win.slot(q)];
-      const V* v = store_find(*cx.staging, q);
+      const V* v = cx.staging->find(q);
       BSMP_ASSERT_MSG(v != nullptr,
                       "operand missing at leaf: topological partition or "
                       "out-set computation is wrong");
@@ -648,7 +648,7 @@ class Executor {
       if (t >= st.m) {
         if (t - st.m < win.tmin()) {
           q.x[D - 1] = vlo;
-          if (const V* r = store_row_span(*cx.staging, q, n)) return r;
+          if (const V* r = cx.staging->row_span(q, n)) return r;
         }
         if (cx.self_row.size() < n) cx.self_row.resize(n);
         for (std::size_t i = 0; i < n; ++i) {

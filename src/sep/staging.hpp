@@ -17,10 +17,11 @@
 //   * level_allocs() counts slab allocations for the hot-path metrics.
 //
 // StagingStore is the only staging medium: ValueMap<D> survives purely
-// as a value container (final values, reference runs). The accessors
-// at the bottom (store_find / store_insert / ...) give Executor one
-// staging interface over a StagingStore and the StagingShard overlays
-// its forked subtrees write into.
+// as a value container (final values, reference runs). StagingShard,
+// the overlay the executor's forked subtrees write into, has the same
+// member interface (find / insert / insert_span / erase / row_span /
+// touch_level / level_allocs), so Executor's recursion is one template
+// over either.
 //
 // The store is generic over the per-point value type V (Word by
 // default; LaneBatch for SoA-batched guests — see sep/guest.hpp).
@@ -467,83 +468,6 @@ class LeafWindow {
 };
 
 // ---------------------------------------------------------------------
-// Uniform staging accessors: the executor's recursion is templated on
-// its staging view — a StagingStore or a StagingShard over one — and
-// these overloads give both the same interface.
-// ---------------------------------------------------------------------
-
-template <int D, class V>
-inline const V* store_find(const StagingStore<D, V>& s,
-                           const geom::Point<D>& q) {
-  return s.find(q);
-}
-
-/// Set q -> v; returns whether q was newly added (every dag vertex is
-/// produced exactly once, so a repeated insert never carries a
-/// different value).
-template <int D, class V>
-inline bool store_insert(StagingStore<D, V>& s, const geom::Point<D>& q,
-                         const V& v) {
-  return s.insert(q, v);
-}
-
-/// Insert n contiguous values along the innermost dimension starting
-/// at q; returns how many were newly added. Views without dense rows
-/// (shards) fall back to per-cell insert — same values, same count.
-template <class Store, int D, class V>
-inline std::int64_t store_insert_span(Store& s, geom::Point<D> q,
-                                      const V* src, std::size_t n) {
-  std::int64_t added = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    added += store_insert(s, q, src[i]);
-    ++q.x[D - 1];
-  }
-  return added;
-}
-
-template <int D, class V>
-inline std::int64_t store_insert_span(StagingStore<D, V>& s,
-                                      const geom::Point<D>& q, const V* src,
-                                      std::size_t n) {
-  return s.insert_span(q, src, n);
-}
-
-/// Erase q; returns whether a value was actually removed.
-template <int D, class V>
-inline bool store_erase(StagingStore<D, V>& s, const geom::Point<D>& q) {
-  return s.erase(q);
-}
-
-/// Pointer to n contiguous live values along the innermost dimension
-/// starting at q, or nullptr when the view cannot serve the span as
-/// one dense row (absent cells, or a shard, whose values may be split
-/// across overlays). The SIMD leaf path tries this before staging a
-/// self-operand row cell by cell.
-template <class Store, int D>
-inline const typename Store::value_type* store_row_span(
-    const Store&, const geom::Point<D>&, std::size_t) {
-  return nullptr;
-}
-
-template <int D, class V>
-inline const V* store_row_span(const StagingStore<D, V>& s,
-                               const geom::Point<D>& q, std::size_t n) {
-  return s.row_span(q, n);
-}
-
-/// Pre-allocate the slab of time level t.
-template <int D, class V>
-inline void store_touch_level(StagingStore<D, V>& s, std::int64_t t) {
-  s.touch_level(t);
-}
-
-/// Slab allocations of a store.
-template <int D, class V>
-inline std::size_t store_level_allocs(const StagingStore<D, V>& s) {
-  return s.level_allocs();
-}
-
-// ---------------------------------------------------------------------
 // StagingShard: a private overlay a forked subtree of the executor
 // writes into while sibling subtrees run concurrently.
 //
@@ -660,30 +584,51 @@ class StagingShard {
   }
 
   bool insert(const geom::Point<D>& q, const V& v) {
-    note_level(q.t);
+    touch_level(q.t);
     return local_.insert(q, v);
   }
 
+  /// Insert n values along the innermost dimension starting at q, cell
+  /// by cell; returns how many were newly added (same values and count
+  /// as StagingStore::insert_span).
+  std::int64_t insert_span(geom::Point<D> q, const V* src, std::size_t n) {
+    std::int64_t added = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      added += insert(q, src[i]);
+      ++q.x[D - 1];
+    }
+    return added;
+  }
+
   bool erase(const geom::Point<D>& q) { return local_.erase(q); }
+
+  /// Always nullptr: a shard's values may be split across overlays, so
+  /// it never serves a span as one dense row.
+  const V* row_span(const geom::Point<D>&, std::size_t) const {
+    return nullptr;
+  }
 
   /// Live values written locally (not the fall-through total): the
   /// executor tracks staging peaks via relative deltas, not sizes.
   std::size_t size() const { return local_.size(); }
 
-  void note_level(std::int64_t t) {
+  /// Record level t as written, so merge_into pre-touches its slab.
+  void touch_level(std::int64_t t) {
     auto it = std::lower_bound(touched_.begin(), touched_.end(), t);
     if (it == touched_.end() || *it != t) touched_.insert(it, t);
   }
+
+  /// Always 0: shard slabs are scratch; only base-store slabs count.
+  std::size_t level_allocs() const { return 0; }
 
   /// Fold this shard into the enclosing store (the base store, or the
   /// enclosing shard for nested forks): pre-touch every level the
   /// shard ever wrote, then insert the surviving values.
   template <class Dst>
   void merge_into(Dst& dst) const {
-    for (std::int64_t t : touched_) store_touch_level(dst, t);
-    local_.for_each([&dst](const geom::Point<D>& p, const V& v) {
-      store_insert(dst, p, v);
-    });
+    for (std::int64_t t : touched_) dst.touch_level(t);
+    local_.for_each(
+        [&dst](const geom::Point<D>& p, const V& v) { dst.insert(p, v); });
   }
 
  private:
@@ -692,34 +637,6 @@ class StagingShard {
   Base local_;
   std::vector<std::int64_t> touched_;  // sorted distinct inserted levels
 };
-
-/// Accessor overloads so the executor can treat a shard as a store.
-template <int D, class V>
-inline const V* store_find(const StagingShard<D, V>& s,
-                           const geom::Point<D>& q) {
-  return s.find(q);
-}
-
-template <int D, class V>
-inline bool store_insert(StagingShard<D, V>& s, const geom::Point<D>& q,
-                         const V& v) {
-  return s.insert(q, v);
-}
-
-template <int D, class V>
-inline bool store_erase(StagingShard<D, V>& s, const geom::Point<D>& q) {
-  return s.erase(q);
-}
-
-template <int D, class V>
-inline void store_touch_level(StagingShard<D, V>& s, std::int64_t t) {
-  s.note_level(t);
-}
-
-template <int D, class V>
-inline std::size_t store_level_allocs(const StagingShard<D, V>&) {
-  return 0;  // shard slabs are scratch; only base-store slabs count
-}
 
 // ---------------------------------------------------------------------
 // Parallel grain: process-wide default for

@@ -277,7 +277,7 @@ TEST(StagingArena, ResetForReuseAndRebindForgetEverything) {
   // Slabs stayed bound through the reset: re-inserting into a
   // previously-present level is a pure epoch reuse, not an allocation.
   // (Shard-local allocs never feed the hot-path metric — see
-  // store_level_allocs(StagingShard) — so the count tracks real slab
+  // StagingShard::level_allocs() — so the count tracks real slab
   // materializations only.)
   s.insert(pt(0, 0), Word(5));
   EXPECT_EQ(s.level_allocs(), 0u);
@@ -312,7 +312,7 @@ TEST(StagingArena, ShardMergeKeepsLevelAllocsEqualPooledAndCold) {
       // An insert erased again still pre-touches its level on merge.
       shard.insert(pt(3, 5), Word(30 + round));
       shard.erase(pt(3, 5));
-      EXPECT_EQ(sep::store_level_allocs(shard), 0u);
+      EXPECT_EQ(shard.level_allocs(), 0u);
       shard.merge_into(base);
     }
     return std::make_pair(base.level_allocs(), base.size());

@@ -46,6 +46,12 @@ TEST(Args, TypeErrorsThrow) {
   EXPECT_THROW(a.get_int("n", 0), bsmp::precondition_error);
   auto b = parse({"--x", "1.5zz"});
   EXPECT_THROW(b.get_double("x", 0), bsmp::precondition_error);
+  // Empty and out-of-range values must not read as 0, INT64_MAX or inf.
+  auto c = parse({"--n=", "--m=99999999999999999999999", "--f=1e999", "--g="});
+  EXPECT_THROW(c.get_int("n", 7), bsmp::precondition_error);
+  EXPECT_THROW(c.get_int("m", 7), bsmp::precondition_error);
+  EXPECT_THROW(c.get_double("f", 7), bsmp::precondition_error);
+  EXPECT_THROW(c.get_double("g", 7), bsmp::precondition_error);
 }
 
 TEST(Args, HasDistinguishesPresence) {

@@ -207,6 +207,11 @@ TEST(Json, RejectsMalformedDocumentsWithPosition) {
   auto p = json::parse("{\n  \"a\": nope\n}");
   ASSERT_FALSE(p.ok);
   EXPECT_NE(p.error.find("2:"), std::string::npos) << p.error;
+  // Nesting is bounded: a deep document fails with a located error
+  // instead of overflowing the parser's stack.
+  auto deep = json::parse(std::string(100000, '['));
+  ASSERT_FALSE(deep.ok);
+  EXPECT_EQ(deep.error, "nesting deeper than 256 at 1:257");
 }
 
 TEST(Json, ParseFileReportsIoErrors) {

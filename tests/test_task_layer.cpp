@@ -1,11 +1,12 @@
-// Unit tests for the fork-join task layer (engine/task.hpp) and its
-// integration with Pool: nested parallel_for routing (the former
-// "must not be nested" deadlock), empty ranges, single-thread inline
-// ordering (the sequential reference execution), exception contracts,
-// and the TaskStats counters.
+// Unit tests for the fork-join task layer (engine/task.hpp) and
+// Pool::parallel_for on it: nested parallel_for (the former "must not
+// be nested" deadlock), empty ranges, single-thread inline ordering
+// (the sequential reference execution), exception contracts, slot
+// ownership, and the TaskStats counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -300,6 +301,44 @@ TEST(TaskSchedulerBind, SecondThreadBindingHeldSlotThrows) {
   });
   t.join();
   ASSERT_TRUE(err) << "concurrent bind of a held slot must fail fast";
+  EXPECT_THROW(std::rethrow_exception(err), precondition_error);
+}
+
+TEST(TaskSchedulerBind, SecondThreadParallelForOnBusyPoolThrows) {
+  // While one thread's parallel_for holds slot 0, a second thread's
+  // parallel_for must throw at once and run none of its indices — not
+  // wait for the first call to end and then run its body. The waits are
+  // bounded so a wrong implementation fails instead of hanging.
+  engine::Pool pool(2);
+  std::atomic<bool> second_done{false};
+  std::atomic<int> second_calls{0};
+  std::exception_ptr err;
+  bool timed_out = false;
+  std::thread second;
+  pool.parallel_for(2, [&](std::size_t i) {
+    if (i != 0) return;
+    second = std::thread([&] {
+      try {
+        pool.parallel_for(2, [&](std::size_t) { ++second_calls; });
+      } catch (...) {
+        err = std::current_exception();
+      }
+      second_done.store(true);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (!second_done.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  second.join();
+  EXPECT_FALSE(timed_out) << "the second parallel_for blocked on the first";
+  EXPECT_EQ(second_calls.load(), 0);
+  ASSERT_TRUE(err) << "a second thread's parallel_for must fail fast";
   EXPECT_THROW(std::rethrow_exception(err), precondition_error);
 }
 
