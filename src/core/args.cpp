@@ -9,6 +9,26 @@
 
 namespace bsmp::core {
 
+std::int64_t parse_int(const std::string& text, const std::string& what,
+                       std::int64_t min) {
+  // Reject an empty value and one outside the int64 range, which
+  // strtoll would otherwise read as 0 and as INT64_MIN/MAX.
+  char* end = nullptr;
+  errno = 0;
+  long long r = std::strtoll(text.c_str(), &end, 10);
+  BSMP_REQUIRE_MSG(!text.empty() && end && *end == '\0' && errno != ERANGE,
+                   what << " expects an integer, got '" << text << "'");
+  BSMP_REQUIRE_MSG(r >= min, what << " expects an integer >= " << min
+                                  << ", got '" << text << "'");
+  return static_cast<std::int64_t>(r);
+}
+
+std::int64_t env_count(const char* name, std::int64_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  return parse_int(env, name, 0);
+}
+
 Args::Args(int argc, const char* const* argv,
            const std::vector<std::string>& known_flags) {
   for (int i = 1; i < argc; ++i) {
@@ -66,14 +86,7 @@ std::int64_t Args::get_int(const std::string& name,
                            std::int64_t fallback) const {
   auto v = get(name);
   if (!v) return fallback;
-  // Reject an empty value and one outside the int64 range, which
-  // strtoll would otherwise read as 0 and as INT64_MIN/MAX.
-  char* end = nullptr;
-  errno = 0;
-  long long r = std::strtoll(v->c_str(), &end, 10);
-  BSMP_REQUIRE_MSG(!v->empty() && end && *end == '\0' && errno != ERANGE,
-                   "--" << name << " expects an integer, got '" << *v << "'");
-  return static_cast<std::int64_t>(r);
+  return parse_int(*v, "--" + name);
 }
 
 double Args::get_double(const std::string& name, double fallback) const {

@@ -4,12 +4,25 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace bsmp::core {
+
+/// Parse `text` as a base-10 integer, strictly: the whole text must be
+/// one integer in [min, INT64_MAX]. An empty value, trailing text
+/// ("4x"), a value outside the int64 range or one below `min` throws
+/// precondition_error naming `what` (an option or variable name).
+std::int64_t parse_int(
+    const std::string& text, const std::string& what,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min());
+
+/// A non-negative integer environment knob: `fallback` when `name` is
+/// unset or empty, else parse_int(value, name, 0).
+std::int64_t env_count(const char* name, std::int64_t fallback);
 
 class Args {
  public:

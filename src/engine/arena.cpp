@@ -7,6 +7,7 @@
 #include <mutex>
 #include <new>
 
+#include "core/args.hpp"
 #include "engine/trace.hpp"
 
 namespace bsmp::engine {
@@ -42,13 +43,8 @@ void set_arena_enabled(bool on) {
 }
 
 std::size_t default_plan_cache_bytes() {
-  static const std::size_t bytes = [] {
-    const char* env = std::getenv("BSMP_PLAN_CACHE_BYTES");
-    if (env == nullptr || *env == '\0') return std::size_t{0};
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    return end == env ? std::size_t{0} : static_cast<std::size_t>(v);
-  }();
+  static const std::size_t bytes =
+      static_cast<std::size_t>(core::env_count("BSMP_PLAN_CACHE_BYTES", 0));
   return bytes;
 }
 

@@ -171,7 +171,8 @@ class Scratch {
 
 /// Byte budget of the shared PlanCache LRU (BSMP_PLAN_CACHE_BYTES at
 /// process start; 0 — the default — means unbounded, the seed
-/// behavior).
+/// behavior). A malformed or negative value throws precondition_error
+/// naming the variable (core::env_count).
 std::size_t default_plan_cache_bytes();
 
 }  // namespace bsmp::engine

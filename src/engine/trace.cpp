@@ -14,6 +14,8 @@
 #include <unistd.h>  // gethostname
 #endif
 
+#include "core/args.hpp"
+
 #ifndef BSMP_GIT_SHA
 #define BSMP_GIT_SHA "unknown"
 #endif
@@ -158,12 +160,9 @@ Registry& registry() {
 
 std::size_t buffer_capacity() {
   static const std::size_t cap = [] {
-    const char* env = std::getenv("BSMP_TRACE_BUFFER");
-    if (env != nullptr) {
-      long long v = std::atoll(env);
-      if (v >= 1024) return static_cast<std::size_t>(v);
-    }
-    return static_cast<std::size_t>(1) << 18;
+    const std::int64_t v = core::env_count("BSMP_TRACE_BUFFER", 0);
+    return v >= 1024 ? static_cast<std::size_t>(v)
+                     : static_cast<std::size_t>(1) << 18;
   }();
   return cap;
 }

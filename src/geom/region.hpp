@@ -17,6 +17,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -149,7 +152,33 @@ class Region {
   /// (children sorted by the number of upper halves they occupy; equal
   /// counts are mutually independent). Empty children are dropped.
   /// Coordinates with a side of length < 2 are not split.
-  std::vector<Region> split() const {
+  std::vector<Region> split() const { return split_runs().children; }
+
+  /// split()'s children together with their equal-uppers runs: the
+  /// children [run_begin[r], run_begin[r + 1]) of run r < runs all take
+  /// the upper half in the same number of monotone coordinates, so any
+  /// two of them have a coordinate where one is upper and the other
+  /// lower. Dag arcs never increase a monotone coordinate, so neither
+  /// can feed the other: every run is an antichain whose order is
+  /// semantically irrelevant — the independence each fork point of the
+  /// recursion relies on.
+  struct Split {
+    std::vector<Region> children;
+    std::array<std::size_t, K + 2> run_begin{};
+    std::size_t runs = 0;
+
+    /// Visit each run as its half-open child range [begin, end), in
+    /// topological order.
+    template <class F>
+    void for_each_run(F&& f) const {
+      for (std::size_t r = 0; r < runs; ++r) f(run_begin[r], run_begin[r + 1]);
+    }
+  };
+
+  /// The midpoint split with its runs (see split() and Split): children
+  /// are generated by upper-half count, each count's masks in ascending
+  /// order — the stable sort of the masks by that count.
+  Split split_runs() const {
     std::array<int64_t, K> mid;
     std::array<bool, K> splits;
     int nsplit = 0;
@@ -160,44 +189,31 @@ class Region {
     }
     BSMP_REQUIRE_MSG(nsplit > 0, "cannot split a region of width 1");
 
-    struct Child {
-      Region r;
-      int uppers;
-    };
-    std::vector<Child> kids;
-    for (unsigned mask = 0; mask < (1u << K); ++mask) {
-      std::array<int64_t, K> clo = lo_, chi = hi_;
-      bool valid = true;
-      int uppers = 0;
-      for (int k = 0; k < K; ++k) {
-        bool up = (mask >> k) & 1u;
-        if (!splits[k]) {
-          if (up) {
-            valid = false;  // no upper half for unsplit coordinates
-            break;
-          }
-          continue;
+    Split s;
+    s.children.reserve(std::size_t{1} << nsplit);
+    for (int uppers = 0; uppers <= nsplit; ++uppers) {
+      const std::size_t begin = s.children.size();
+      for (unsigned mask = 0; mask < (1u << K); ++mask) {
+        if (std::popcount(mask) != uppers) continue;
+        std::array<int64_t, K> clo = lo_, chi = hi_;
+        bool valid = true;
+        for (int k = 0; k < K && valid; ++k) {
+          const bool up = (mask >> k) & 1u;
+          if (!splits[k])
+            valid = !up;  // no upper half for unsplit coordinates
+          else if (up)
+            clo[k] = mid[k];
+          else
+            chi[k] = mid[k];
         }
-        if (up) {
-          clo[k] = mid[k];
-          ++uppers;
-        } else {
-          chi[k] = mid[k];
-        }
+        if (!valid) continue;
+        Region child(stencil_, clo, chi);
+        if (!child.empty()) s.children.push_back(std::move(child));
       }
-      if (!valid) continue;
-      Region child(stencil_, clo, chi);
-      if (child.empty()) continue;
-      kids.push_back({std::move(child), uppers});
+      if (s.children.size() > begin) s.run_begin[s.runs++] = begin;
     }
-    std::stable_sort(kids.begin(), kids.end(),
-                     [](const Child& a, const Child& b) {
-                       return a.uppers < b.uppers;
-                     });
-    std::vector<Region> out;
-    out.reserve(kids.size());
-    for (auto& k : kids) out.push_back(std::move(k.r));
-    return out;
+    s.run_begin[s.runs] = s.children.size();
+    return s;
   }
 
   /// Visit every point of the preboundary Γin(U): vertices outside U

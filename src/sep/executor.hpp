@@ -46,17 +46,12 @@
 // off, or unavailable.
 //
 // Parallel recursion (see doc/ENGINE.md "Task layer"): when
-// ExecutorConfig::parallel_grain > 0 and an engine::TaskScheduler with
-// more than one slot is ambient on the calling thread, recursion nodes
-// of monotone width above the grain fork their *equal-uppers* runs of
-// children — Region::split() stable-sorts children by how many of
-// their monotone coordinates take the upper half, and within one such
-// run no child can feed another (each has a coordinate where it is
-// upper and the sibling lower, and monotone arcs only decrease
-// coordinates), so the run is an antichain of the recursion and its
-// order is semantically irrelevant. Each forked child runs against a
-// private StagingShard (reads fall through to the parent store) and a
-// core::ChargeLog; the join merges shards and replays logs in
+// ExecutorConfig::parallel_grain > 0 and sep::can_fork(), recursion
+// nodes of monotone width above the grain fork each multi-child
+// equal-uppers run of Region::split_runs() (an antichain of the
+// recursion) through sep::fork_join (sep/fork.hpp): every child runs
+// against a private StagingShard and records its charges in a
+// core::ChargeLog, and the join replays logs and merges shards in
 // canonical child order, so every charged double, the peak-staging
 // high-water mark, slab-allocation counts, and all final values are
 // bit-identical to the serial execution at any thread count.
@@ -64,7 +59,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -76,6 +70,7 @@
 #include "engine/trace.hpp"
 #include "geom/region.hpp"
 #include "hram/access_fn.hpp"
+#include "sep/fork.hpp"
 #include "sep/guest.hpp"
 #include "sep/simd.hpp"
 #include "sep/staging.hpp"
@@ -183,19 +178,11 @@ class Executor {
                          StagingStore<D, V>& staging, const RuleFn& rule) {
     BSMP_REQUIRE(ledger_ != nullptr);
     const std::size_t base = staging.size();
-    Ctx<StagingStore<D, V>, core::CostLedger> cx;
-    cx.staging = &staging;
-    cx.ledger = ledger_;
-    // Hand the executor's persistent leaf scratch to the root context
+    // The executor's persistent leaf scratch serves the root context,
     // so steady-state serial execution stays allocation-free.
-    cx.vals.swap(leaf_vals_);
-    cx.off.swap(leaf_off_);
-    cx.self_row.swap(leaf_self_);
+    Ctx<StagingStore<D, V>, core::CostLedger> cx{&staging, ledger_, &leaf_};
     exec_rec(U, cx, rule);
-    cx.vals.swap(leaf_vals_);
-    cx.off.swap(leaf_off_);
-    cx.self_row.swap(leaf_self_);
-    absorb(ExecDelta{cx.vertices, cx.cur, cx.peak}, base);
+    absorb(cx.delta(), base);
   }
 
   /// Concurrency-safe execution for forked callers: run U with charges
@@ -214,17 +201,9 @@ class Executor {
     // (subtile bodies, executor child runs) land here once per fork,
     // and the checkout makes their steady state allocation-free too.
     engine::Scratch<LeafScratch> scratch;
-    Ctx<Store, core::ChargeLog> cx;
-    cx.staging = &staging;
-    cx.ledger = &log;
-    cx.vals.swap(scratch->vals);
-    cx.off.swap(scratch->off);
-    cx.self_row.swap(scratch->self_row);
+    Ctx<Store, core::ChargeLog> cx{&staging, &log, &*scratch};
     exec_rec(U, cx, rule);
-    cx.vals.swap(scratch->vals);
-    cx.off.swap(scratch->off);
-    cx.self_row.swap(scratch->self_row);
-    return ExecDelta{cx.vertices, cx.cur, cx.peak};
+    return cx.delta();
   }
 
   template <class Store>
@@ -252,11 +231,13 @@ class Executor {
 
  private:
   /// The leaf scratch triple (dense window values + per-level prefix
-  /// offsets + the SIMD self-operand row) as one engine::Scratch<T>
-  /// pool unit, checked out per forked execution. clear() keeps
-  /// everything: LeafWindow sizes the vectors and fully writes the
-  /// live prefix before any read, so stale contents are unreachable
-  /// and dropping capacity is the only thing reset could cost.
+  /// offsets + the SIMD self-operand row), reused across one context's
+  /// leaves. The root context of execute() borrows the executor's own;
+  /// forked executions check one out of the engine::Scratch<T> pool of
+  /// the thread they run on. clear() keeps everything: LeafWindow sizes
+  /// the vectors and fully writes the live prefix before any read, so
+  /// stale contents are unreachable and dropping capacity is the only
+  /// thing reset could cost.
   struct LeafScratch {
     std::vector<V> vals;
     std::vector<std::size_t> off;
@@ -278,6 +259,7 @@ class Executor {
   struct Ctx {
     Store* staging = nullptr;
     Ledger* ledger = nullptr;
+    LeafScratch* leaf = nullptr;
     std::int64_t vertices = 0;
     std::int64_t cur = 0;
     std::int64_t peak = 0;
@@ -285,12 +267,6 @@ class Executor {
     // sub-contexts so the sep-region trace spans label levels
     // identically at any thread count.
     int depth = 0;
-    // Leaf scratch (dense window values + per-level prefix offsets +
-    // the SIMD path's self-operand row), reused across this context's
-    // leaves.
-    std::vector<V> vals;
-    std::vector<std::size_t> off;
-    std::vector<V> self_row;
     // Out-set size of the most recently executed leaf: the staging
     // pass at the end of execute_leaf walks exactly the set
     // outset_count() would re-derive, so exec_child reuses its tally
@@ -300,6 +276,7 @@ class Executor {
     void note() {
       if (cur > peak) peak = cur;
     }
+    ExecDelta delta() const { return ExecDelta{vertices, cur, peak}; }
     void insert(const geom::Point<D>& q, const V& v) {
       if (staging->insert(q, v)) ++cur;
     }
@@ -326,14 +303,20 @@ class Executor {
                                     "sep-region", U.width(), cx.depth);
     const core::Cost fS =
         cfg_.f(static_cast<std::uint64_t>(space_bound(U.width())));
-    std::vector<geom::Region<D>> children = U.split();
+    const typename geom::Region<D>::Split sp = U.split_runs();
+    const bool fork = cfg_.parallel_grain > 0 &&
+                      U.width() > cfg_.parallel_grain && can_fork();
     ++cx.depth;
-    if (should_fork(U)) {
-      exec_children_forked(U, children, fS, cx, rule);
-    } else {
-      for (const geom::Region<D>& child : children)
-        exec_child(U, child, fS, cx, rule);
-    }
+    sp.for_each_run([&](std::size_t i, std::size_t j) {
+      // A singleton run may feed later children: it runs in place so
+      // they see its out-set in cx's store.
+      if (fork && j - i > 1) {
+        exec_run_forked(U, &sp.children[i], j - i, fS, cx, rule);
+      } else {
+        for (std::size_t k = i; k < j; ++k)
+          exec_child(U, sp.children[k], fS, cx, rule);
+      }
+    });
     --cx.depth;
 
     // Retain only U's out-set; everything else produced inside U is
@@ -342,7 +325,7 @@ class Executor {
     // out-sets; outset_visit_minus subtracts U's out-set predicate
     // per row as intervals, so the filter costs O(rows), not a
     // successor scan per staged point.
-    for (const geom::Region<D>& child : children) {
+    for (const geom::Region<D>& child : sp.children) {
       child.outset_visit_minus(U, [&](const geom::Point<D>& q) {
         cx.erase(q);
       });
@@ -381,96 +364,44 @@ class Executor {
                       static_cast<std::uint64_t>(child_out));
   }
 
-  /// Fork when this node is above the grain and a multi-slot scheduler
-  /// is ambient on this thread (a worker or a bound caller of
-  /// engine::Pool). Without one, forks would run inline anyway — so
-  /// skipping the shard machinery entirely is pure savings.
-  bool should_fork(const geom::Region<D>& U) const {
-    if (cfg_.parallel_grain <= 0 || U.width() <= cfg_.parallel_grain)
-      return false;
-    engine::TaskScheduler* s = engine::TaskScheduler::current();
-    return s != nullptr && s->parallel();
-  }
+  /// A fork's record: the child's charges and its context deltas.
+  struct ForkRecord {
+    core::ChargeLog log;
+    ExecDelta delta;
 
-  /// Execute the children of one recursion node, forking runs of
-  /// consecutive equal-uppers children. split() orders children by the
-  /// number of monotone coordinates taking the upper half ("uppers",
-  /// recomputed here from the lo corners); within an equal-uppers run,
-  /// any two children have a coordinate where one is upper and the
-  /// other lower, and monotone arcs only decrease coordinates — so
-  /// neither can feed the other and the run is an antichain. Each fork
-  /// gets a StagingShard over cx's store and a private ChargeLog; the
-  /// join then merges in canonical child order, reproducing the serial
-  /// store state and charge sequence bit for bit.
-  template <class Store, class Ledger, class RuleFn>
-  void exec_children_forked(const geom::Region<D>& U,
-                            const std::vector<geom::Region<D>>& children,
-                            core::Cost fS, Ctx<Store, Ledger>& cx,
-                            const RuleFn& rule) const {
-    using Shard = StagingShard<D, V>;
-    // The fork's bookkeeping comes from the forking thread's scratch
-    // pools: the ChargeLog checkout here, the shard's local store via
-    // detail::shard_local, the leaf scratch inside the fork body.
-    struct Forked {
-      engine::Scratch<core::ChargeLog> log;
-      ExecDelta delta;
-      std::optional<Shard> shard;
-    };
-    auto uppers = [&U](const geom::Region<D>& child) {
-      int u = 0;
-      for (int k = 0; k < geom::Region<D>::K; ++k)
-        if (child.lo()[k] != U.lo()[k]) ++u;
-      return u;
-    };
-    std::size_t i = 0;
-    while (i < children.size()) {
-      std::size_t j = i + 1;
-      while (j < children.size() &&
-             uppers(children[j]) == uppers(children[i]))
-        ++j;
-      if (j - i == 1) {
-        // Singleton run: possibly a predecessor of later children —
-        // execute in place so they see its out-set in cx's store.
-        exec_child(U, children[i], fS, cx, rule);
-      } else {
-        std::vector<Forked> forks(j - i);
-        for (Forked& fk : forks) fk.shard.emplace(overlay, *cx.staging);
-        const int child_depth = cx.depth;
-        engine::TaskScope scope(cfg_.fork_phase);
-        for (std::size_t k = i; k < j; ++k) {
-          Forked& fk = forks[k - i];
-          const geom::Region<D>& child = children[k];
-          scope.fork([this, &fk, &U, &child, fS, child_depth, &rule] {
-            engine::Scratch<LeafScratch> scratch;  // worker-thread pool
-            Ctx<Shard, core::ChargeLog> sub;
-            sub.staging = &*fk.shard;
-            sub.ledger = &*fk.log;
-            sub.depth = child_depth;
-            sub.vals.swap(scratch->vals);
-            sub.off.swap(scratch->off);
-            sub.self_row.swap(scratch->self_row);
-            exec_child(U, child, fS, sub, rule);
-            sub.vals.swap(scratch->vals);
-            sub.off.swap(scratch->off);
-            sub.self_row.swap(scratch->self_row);
-            fk.delta = ExecDelta{sub.vertices, sub.cur, sub.peak};
-          });
-        }
-        scope.join();
-        engine::trace::Span merge_span(engine::trace::Cat::kTask,
-                                       "shard-merge",
-                                       static_cast<std::int64_t>(j - i));
-        for (Forked& fk : forks) {
-          fk.log->replay_into(*cx.ledger);
-          fk.shard->merge_into(*cx.staging);
-          if (cx.cur + fk.delta.peak > cx.peak)
-            cx.peak = cx.cur + fk.delta.peak;
-          cx.cur += fk.delta.net;
-          cx.vertices += fk.delta.vertices;
-        }
-      }
-      i = j;
+    void clear() {
+      log.clear();
+      delta = ExecDelta{};
     }
+  };
+
+  /// Execute the n children of one equal-uppers run (an antichain, see
+  /// Region::Split) through sep::fork_join: each child runs Prop. 2's
+  /// steps against its own shard over cx's store, charging a private
+  /// ChargeLog, and the join replays the logs into cx's ledger and
+  /// folds the deltas into cx in canonical child order.
+  template <class Store, class Ledger, class RuleFn>
+  void exec_run_forked(const geom::Region<D>& U, const geom::Region<D>* run,
+                       std::size_t n, core::Cost fS, Ctx<Store, Ledger>& cx,
+                       const RuleFn& rule) const {
+    using Shard = StagingShard<D, V>;
+    const int depth = cx.depth;
+    fork_join<D, V, ForkRecord>(
+        cfg_.fork_phase, *cx.staging, n,
+        [&](std::size_t k, Shard& shard, ForkRecord& rec) {
+          engine::Scratch<LeafScratch> leaf;  // the running thread's pool
+          Ctx<Shard, core::ChargeLog> sub{&shard, &rec.log, &*leaf};
+          sub.depth = depth;
+          exec_child(U, run[k], fS, sub, rule);
+          rec.delta = sub.delta();
+        },
+        [&cx](ForkRecord& rec) {
+          rec.log.replay_into(*cx.ledger);
+          if (cx.cur + rec.delta.peak > cx.peak)
+            cx.peak = cx.cur + rec.delta.peak;
+          cx.cur += rec.delta.net;
+          cx.vertices += rec.delta.vertices;
+        });
   }
 
   template <class Store>
@@ -516,7 +447,7 @@ class Executor {
     const geom::Stencil<D>& st = guest_->stencil;
     const core::Cost f_leaf =
         cfg_.f(static_cast<std::uint64_t>(leaf_space_bound(U.width())));
-    LeafWindow<D, V> win(U, cx.vals, cx.off);
+    LeafWindow<D, V> win(U, cx.leaf->vals, cx.leaf->off);
     const std::int64_t tmin = win.tmin();
 
     auto lookup = [&](const geom::Point<D>& q) -> const V& {
@@ -641,6 +572,7 @@ class Executor {
     // or the staging store can serve the whole span as a dense row
     // (the common case when the leaf sits m levels above its staged
     // preboundary: zero copies, the kernel reads the slab in place).
+    std::vector<V>& self_row = cx.leaf->self_row;
     auto stage_self = [&](std::int64_t t, std::int64_t vlo, std::int64_t vhi,
                           geom::Point<D> q) -> const V* {
       const std::size_t n = static_cast<std::size_t>(vhi - vlo + 1);
@@ -650,19 +582,19 @@ class Executor {
           q.x[D - 1] = vlo;
           if (const V* r = cx.staging->row_span(q, n)) return r;
         }
-        if (cx.self_row.size() < n) cx.self_row.resize(n);
+        if (self_row.size() < n) self_row.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
           q.x[D - 1] = vlo + static_cast<std::int64_t>(i);
-          cx.self_row[i] = lookup(q);
+          self_row[i] = lookup(q);
         }
       } else {
-        if (cx.self_row.size() < n) cx.self_row.resize(n);
+        if (self_row.size() < n) self_row.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
           q.x[D - 1] = vlo + static_cast<std::int64_t>(i);
-          cx.self_row[i] = guest_->input(q.x, t % st.m);
+          self_row[i] = guest_->input(q.x, t % st.m);
         }
       }
-      return cx.self_row.data();
+      return self_row.data();
     };
 
     for (std::int64_t t = tmin; t <= win.tmax(); ++t) {
@@ -781,11 +713,9 @@ class Executor {
   core::CostLedger* ledger_ = nullptr;
   std::int64_t vertices_ = 0;
   std::size_t peak_staging_ = 0;
-  // Leaf scratch, lent to the root context of each execute() call so a
+  // Leaf scratch of the root context of each execute() call, so a
   // steady-state serial execution performs no per-leaf allocation.
-  std::vector<V> leaf_vals_;
-  std::vector<std::size_t> leaf_off_;
-  std::vector<V> leaf_self_;
+  LeafScratch leaf_;
 };
 
 }  // namespace bsmp::sep

@@ -20,12 +20,9 @@ std::atomic<bool>& enabled_flag() {
 
 /// Best ISA among the compiled kernel clones that this CPU supports.
 /// Mirrors the loader's IFUNC resolution: the GCC clone list tops out
-/// at x86-64-v4, clang's at AVX2, and a -DBSMP_SIMD=OFF build has no
-/// clones at all.
+/// at x86-64-v4, clang's at AVX2.
 const char* detect_isa() {
-#if !BSMP_SIMD_ENABLED
-  return "scalar";
-#elif defined(__x86_64__)
+#if defined(__x86_64__)
   __builtin_cpu_init();
 #if defined(__GNUC__) && !defined(__clang__)
   if (__builtin_cpu_supports("avx512f") &&

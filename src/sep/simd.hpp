@@ -32,23 +32,15 @@
 //     staging and every emitted table are unchanged by BSMP_SIMD;
 //   * selection: the BSMP_SIMD environment variable ("off"/"0"/
 //     "scalar" disables, anything else enables; see simd::enabled)
-//     picks the path at runtime, the BSMP_SIMD CMake option
-//     (-DBSMP_SIMD=OFF) compiles the vector path out entirely, and on
-//     x86-64 the kernels themselves are compiled as target_clones so
-//     one binary carries scalar, AVX2 and (GCC) AVX-512 versions
-//     dispatched by the loader.
+//     picks the path at runtime, and on x86-64 the kernels themselves
+//     are compiled as target_clones so one binary carries scalar, AVX2
+//     and (GCC) AVX-512 versions dispatched by the loader.
 #pragma once
 
 #include <cstdint>
 
 #include "geom/lattice.hpp"
 #include "sep/guest.hpp"
-
-// Compile-time master switch: -DBSMP_SIMD=OFF at configure time
-// removes the vector leaf path and compiles kernels without clones.
-#if !defined(BSMP_SIMD_ENABLED)
-#define BSMP_SIMD_ENABLED 0
-#endif
 
 // Per-kernel function multiversioning: one symbol, several ISA bodies,
 // IFUNC-dispatched at load time. The "default" clone is the
@@ -57,11 +49,10 @@
 // so it gets the AVX2 clone only; GCC additionally gets x86-64-v4
 // (AVX-512F/BW/CD/DQ/VL), whose native 64-bit vector multiply the mix
 // kernel leans on.
-#if BSMP_SIMD_ENABLED && defined(__x86_64__) && defined(__GNUC__) && \
-    !defined(__clang__)
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define BSMP_SIMD_CLONES \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
-#elif BSMP_SIMD_ENABLED && defined(__x86_64__) && defined(__clang__)
+#elif defined(__x86_64__) && defined(__clang__)
 #define BSMP_SIMD_CLONES __attribute__((target_clones("default", "avx2")))
 #else
 #define BSMP_SIMD_CLONES
@@ -80,8 +71,8 @@ void set_enabled(bool on);
 
 /// The instruction set the row kernels dispatch to right now:
 /// "avx512", "avx2" or "sse2" on x86-64, "neon" on aarch64 — or
-/// "scalar" when the vector path is disabled (BSMP_SIMD off at either
-/// configure or run time) or no kernels are compiled for this target.
+/// "scalar" when the vector path is disabled (BSMP_SIMD off) or no
+/// kernels are compiled for this target.
 const char* active_isa();
 
 /// 64-bit lanes one vector operation of active_isa() carries: 8 for
@@ -104,7 +95,7 @@ concept RowKernel = requires(const R& r, Word* out, const Word* self,
 /// The executor's compile-time gate for one (rule, D, V) combination.
 template <class R, int D, class V>
 inline constexpr bool has_row_kernel =
-    BSMP_SIMD_ENABLED && std::is_same_v<V, Word> && RowKernel<R, D>;
+    std::is_same_v<V, Word> && RowKernel<R, D>;
 
 // ---------------------------------------------------------------------
 // soa_rule: the vectorized generic batch path. broadcast_rule

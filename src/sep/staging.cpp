@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/args.hpp"
+
 namespace bsmp::sep {
 
 namespace {
@@ -16,27 +18,19 @@ std::atomic<bool>& validation_flag() {
   return flag;
 }
 
-std::int64_t parse_grain_env(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::int64_t{0};
-  char* end = nullptr;
-  long long v = std::strtoll(env, &end, 10);
-  if (end == env || v < 0) return std::int64_t{0};
-  return static_cast<std::int64_t>(v);
-}
-
 std::atomic<std::int64_t>& grain_flag() {
-  static std::atomic<std::int64_t> flag = parse_grain_env("BSMP_PARALLEL_GRAIN");
+  static std::atomic<std::int64_t> flag =
+      core::env_count("BSMP_PARALLEL_GRAIN", 0);
   return flag;
 }
 
 std::atomic<std::int64_t>& reloc_grain_flag() {
-  static std::atomic<std::int64_t> flag = parse_grain_env("BSMP_RELOC_GRAIN");
+  static std::atomic<std::int64_t> flag = core::env_count("BSMP_RELOC_GRAIN", 0);
   return flag;
 }
 
 std::atomic<std::int64_t>& wave_grain_flag() {
-  static std::atomic<std::int64_t> flag = parse_grain_env("BSMP_WAVE_GRAIN");
+  static std::atomic<std::int64_t> flag = core::env_count("BSMP_WAVE_GRAIN", 0);
   return flag;
 }
 

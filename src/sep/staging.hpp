@@ -643,11 +643,13 @@ class StagingShard {
 // ExecutorConfig::parallel_grain — the monotone width above which the
 // executor forks sibling child regions into the ambient
 // engine::TaskScheduler (0 disables forking). Defaults from the
-// BSMP_PARALLEL_GRAIN environment variable at process start (unset,
-// empty, or unparsable means 0); settable per run, and per executor
-// via ExecutorConfig::parallel_grain. Forked execution is bit-identical
-// to serial execution by construction, so flipping this knob never
-// changes an emitted byte — only wall clock and task metrics.
+// BSMP_PARALLEL_GRAIN environment variable at process start (unset or
+// empty means 0; a malformed or negative value throws
+// precondition_error naming the variable, see core::env_count);
+// settable per run, and per executor via ExecutorConfig::
+// parallel_grain. Forked execution is bit-identical to serial
+// execution by construction, so flipping this knob never changes an
+// emitted byte — only wall clock and task metrics.
 // ---------------------------------------------------------------------
 
 /// Process-wide default for ExecutorConfig::parallel_grain.

@@ -27,13 +27,15 @@
 // and equal-uppers runs of regime-1 bisection children when the node
 // is wider than MultiprocConfig::reloc_grain (the embedded executor
 // additionally forks below the subtile per ExecutorConfig::
-// parallel_grain). Each fork runs against a private StagingShard and
+// parallel_grain). All three fork through sep::fork_join
+// (sep/fork.hpp): each fork runs against a private StagingShard and
 // records its side effects — relocation charges, subtile charge logs,
-// barriers — in a PhaseLog instead of touching the shared ledgers,
-// clocks, planner, or op stream. The join replays the logs in
-// canonical (fork) order on the calling thread, reproducing the serial
-// floating-point charge sequence, clock trajectory, staging trajectory
-// and emitted op stream bit for bit at any thread count.
+// barriers — in a PhaseLog or SubtileStep instead of touching the
+// shared ledgers, clocks, planner, or op stream, and the join folds
+// the records in canonical (fork) order on the calling thread
+// (join_step), reproducing the serial floating-point charge sequence,
+// clock trajectory, staging trajectory and emitted op stream bit for
+// bit at any thread count.
 //
 // Per-op emission and forking: earlier revisions disabled forking for
 // the whole run whenever a ParallelSchedule emitter was attached,
@@ -47,18 +49,19 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/expect.hpp"
 #include "core/logmath.hpp"
-#include "engine/arena.hpp"
 #include "engine/trace.hpp"
 #include "geom/tiling.hpp"
 #include "machine/clocks.hpp"
@@ -66,6 +69,7 @@
 #include "sched/parallel.hpp"
 #include "sched/planner.hpp"
 #include "sep/executor.hpp"
+#include "sep/fork.hpp"
 #include "sim/dc_uniproc.hpp"
 #include "sim/observe.hpp"
 #include "sim/result.hpp"
@@ -194,19 +198,18 @@ class MultiprocSimulator {
 
     const double rdist = relocation_distance(node_side_);
     const auto hot_t0 = std::chrono::steady_clock::now();
+    PhaseCtx<Store> root{&staging_, nullptr};
     for (std::size_t k = 0; k < waves.size(); ++k) {
-      if (wave_parallel(waves[k].size())) {
-        exec_tilewave_forked(waves[k], k, rdist);
+      // The tiles of one anti-diagonal are mutually independent.
+      const auto& wave = waves[k];
+      if (wave_parallel(wave.size())) {
+        fork_logged(engine::ForkPhase::kMachineTile, root, wave.size(),
+                    [&](std::size_t i, PhaseCtx<Shard>& cx) {
+                      run_tile(wave[i], k, rdist, cx);
+                    });
       } else {
-        PhaseCtx<Store> cx{&staging_, nullptr};
-        for (const auto& tile : waves[k]) {
-          engine::trace::Span tile_span(engine::trace::Cat::kSim,
-                                        "machine-tile", tile.width(),
-                                        static_cast<std::int64_t>(k));
-          charge_relocation_ctx(
-              cx, static_cast<std::size_t>(tile.preboundary_count()), rdist);
-          relocate_rec(tile, cx);
-        }
+        for (const geom::Region<D>& tile : wave)
+          run_tile(tile, k, rdist, root);
       }
       detail::prune_staging<D>(st, staging_, suffix_tmin[k + 1]);
     }
@@ -250,6 +253,12 @@ class MultiprocSimulator {
     double dist = 0.0;
   };
 
+  /// A subtile's preboundary split: words resting in its home
+  /// processor's memory vs words crossing a strip boundary.
+  struct PreSplit {
+    std::size_t resident = 0, cross = 0;
+  };
+
   /// One regime-2 subtile: its identity and home processor, the
   /// preboundary split, the pre/body charge logs and the executor
   /// delta. The body cost is *not* precomputed: the serial path reads
@@ -258,7 +267,7 @@ class MultiprocSimulator {
   struct SubtileStep {
     std::optional<geom::Region<D>> sub;  // optional: Region has no default ctor
     std::int64_t pr = 0;
-    std::size_t resident = 0, cross = 0;
+    PreSplit split;
     core::ChargeLog pre, body;
     Delta delta{};
 
@@ -267,7 +276,7 @@ class MultiprocSimulator {
     void clear() {
       sub.reset();
       pr = 0;
-      resident = cross = 0;
+      split = PreSplit{};
       pre.clear();
       body.clear();
       delta = Delta{};
@@ -281,11 +290,14 @@ class MultiprocSimulator {
   using PhaseLog = std::vector<PhaseStep>;
 
   /// Where a (possibly forked) subtree reads and writes: its staging
-  /// view, and — when forked — the log that defers its charges. A null
-  /// log means direct mode: charges go straight to the shared ledgers
-  /// and clocks, exactly the pre-fork serial path.
+  /// view, and — when forked — the log that defers its charges. The
+  /// view's type says which: the root context (S = Store) runs in
+  /// direct mode, with charges going straight to the shared ledgers
+  /// and clocks and no log; every forked context (S = Shard) records
+  /// into its log.
   template <class S>
   struct PhaseCtx {
+    static constexpr bool kLogged = std::is_same_v<S, Shard>;
     S* store = nullptr;
     PhaseLog* log = nullptr;
   };
@@ -318,11 +330,10 @@ class MultiprocSimulator {
   void charge_relocation_ctx(PhaseCtx<S>& cx, std::size_t words,
                              double dist) {
     if (words == 0) return;
-    if (cx.log != nullptr) {
-      cx.log->push_back(RelocStep{words, dist});
-      return;
-    }
-    charge_relocation(words, dist);
+    if constexpr (PhaseCtx<S>::kLogged)
+      cx.log->emplace_back(RelocStep{words, dist});
+    else
+      charge_relocation(words, dist);
   }
 
   /// End-of-wave synchronization: all processor clocks meet.
@@ -335,11 +346,6 @@ class MultiprocSimulator {
     }
   }
 
-  bool sched_parallel() const {
-    engine::TaskScheduler* s = engine::TaskScheduler::current();
-    return s != nullptr && s->parallel();
-  }
-
   /// Fork a wave (regime-2 subtiles or top-level machine tiles) when
   /// it has enough independent pieces and forks can actually run
   /// concurrently.
@@ -348,84 +354,103 @@ class MultiprocSimulator {
     if (static_cast<std::int64_t>(units) <
         std::max<std::int64_t>(2, cfg_.wave_grain))
       return false;
-    return sched_parallel();
-  }
-
-  /// Fork a regime-1 node's equal-uppers child runs when the node is
-  /// above the relocation grain.
-  bool reloc_parallel(const geom::Region<D>& r) const {
-    return cfg_.reloc_grain > 0 && r.width() > cfg_.reloc_grain &&
-           sched_parallel();
+    return sep::can_fork();
   }
 
   // -------------------------------------------------------------------
-  // Replay: apply a fork's recorded steps to the shared state, in
-  // canonical order, on the joining thread. `base` is staging_'s size
-  // when the forked group's serial-equivalent execution would have
-  // started; `cum` accumulates the executor net deltas of the replayed
-  // subtiles so absorb() sees the exact serial staging trajectory.
+  // Join: fold a fork group's records into the forking context, in
+  // canonical order, on the joining thread.
   // -------------------------------------------------------------------
 
-  void merge_subtile_step(SubtileStep& sb, std::size_t base,
-                          std::int64_t& cum) {
+  /// Root replay position: `base` is staging_'s size when the forked
+  /// group's serial-equivalent execution would have started; `cum`
+  /// accumulates the executor net deltas of the replayed subtiles so
+  /// absorb() sees the exact serial staging trajectory.
+  struct Replay {
+    std::size_t base = 0;
+    std::int64_t cum = 0;
+  };
+
+  /// Replay position of a fork group joining into a context of type S
+  /// (only the root replays, so only it reads staging_).
+  template <class S>
+  Replay replay_for() const {
+    return Replay{PhaseCtx<S>::kLogged ? 0 : staging_.size()};
+  }
+
+  void replay(RelocStep& rs, Replay&) { charge_relocation(rs.words, rs.dist); }
+
+  void replay(BarrierStep&, Replay&) { wave_barrier(); }
+
+  void replay(SubtileStep& sb, Replay& rp) {
     core::CostLedger& lg = ledgers_[static_cast<std::size_t>(sb.pr)];
     sb.pre.replay_into(lg);
     // The serial path's exact cost expression, with the executor's
     // contribution recovered through the same total()-before read.
-    core::Cost cost = 0;
-    cost += 2.0 * f_rest_ * static_cast<core::Cost>(sb.resident);
-    if (sb.cross > 0) cost += link_ * static_cast<core::Cost>(sb.cross);
+    core::Cost cost = pre_cost(sb.split);
     core::Cost before = lg.total();
     sb.body.replay_into(lg);
     cost += lg.total() - before;
     clocks_.advance(sb.pr, cost);
-    exec_->absorb(sb.delta, base + static_cast<std::size_t>(cum));
-    cum += sb.delta.net;
-    emit_subtile_ops(*sb.sub, sb.pr, sb.resident, sb.cross);
+    exec_->absorb(sb.delta, rp.base + static_cast<std::size_t>(rp.cum));
+    rp.cum += sb.delta.net;
+    emit_subtile_ops(*sb.sub, sb.pr, sb.split);
   }
 
-  void replay_phase_log(PhaseLog& log, std::size_t base, std::int64_t& cum) {
-    for (PhaseStep& step : log) {
-      if (auto* rs = std::get_if<RelocStep>(&step)) {
-        charge_relocation(rs->words, rs->dist);
-      } else if (auto* sb = std::get_if<SubtileStep>(&step)) {
-        merge_subtile_step(*sb, base, cum);
-      } else {
-        wave_barrier();
-      }
-    }
+  void replay(PhaseStep& step, Replay& rp) {
+    std::visit([&](auto& st) { replay(st, rp); }, step);
   }
 
-  /// Join a group of forked subtrees. Nested in another fork: splice
-  /// the logs (the enclosing join replays them) and fold the shards
-  /// into the enclosing shard. At the root: replay each log against
-  /// the shared state and fold the shards into staging_ — always in
-  /// canonical fork order.
-  template <class Fork, class S>
-  void join_forked_group(std::vector<Fork>& forks, PhaseCtx<S>& cx) {
-    engine::trace::Span merge_span(engine::trace::Cat::kTask, "shard-merge",
-                                   static_cast<std::int64_t>(forks.size()));
-    if (cx.log != nullptr) {
-      for (Fork& fk : forks) {
-        for (PhaseStep& step : *fk.log)
-          cx.log->push_back(std::move(step));
-        fk.shard->merge_into(*cx.store);
-      }
-      return;
-    }
-    const std::size_t base = staging_.size();
-    std::int64_t cum = 0;
-    for (Fork& fk : forks) {
-      replay_phase_log(*fk.log, base, cum);
-      fk.shard->merge_into(staging_);
-    }
+  /// The merge step of every multiproc fork group: nested in another
+  /// fork, splice the step into cx's log (the enclosing join replays
+  /// it); at the root, replay it against the shared state.
+  template <class S, class Step>
+  void join_step(PhaseCtx<S>& cx, Step& step, Replay& rp) {
+    if constexpr (PhaseCtx<S>::kLogged)
+      cx.log->push_back(std::move(step));
+    else
+      replay(step, rp);
+  }
+
+  /// Fork n independent subtrees over cx's store through
+  /// sep::fork_join: piece(i, sub) runs subtree i against its own shard
+  /// with its side effects recorded in a PhaseLog, and the join folds
+  /// each log into cx in canonical order.
+  template <class S, class Piece>
+  void fork_logged(engine::ForkPhase phase, PhaseCtx<S>& cx, std::size_t n,
+                   const Piece& piece) {
+    Replay rp = replay_for<S>();
+    sep::fork_join<D, V, PhaseLog>(
+        phase, *cx.store, n,
+        [&piece](std::size_t i, Shard& shard, PhaseLog& log) {
+          PhaseCtx<Shard> sub{&shard, &log};
+          piece(i, sub);
+        },
+        [&](PhaseLog& log) {
+          for (PhaseStep& step : log) join_step(cx, step, rp);
+        });
   }
 
   // -------------------------------------------------------------------
   // Regime 1
   // -------------------------------------------------------------------
 
-  /// Regime 1: bisect down to macro width, charging relocations.
+  /// One top-level machine tile: relocate its preboundary, then run
+  /// its regime-1 subtree.
+  template <class S>
+  void run_tile(const geom::Region<D>& tile, std::size_t k, double rdist,
+                PhaseCtx<S>& cx) {
+    engine::trace::Span tile_span(engine::trace::Cat::kSim, "machine-tile",
+                                  tile.width(), static_cast<std::int64_t>(k));
+    charge_relocation_ctx(
+        cx, static_cast<std::size_t>(tile.preboundary_count()), rdist);
+    relocate_rec(tile, cx);
+  }
+
+  /// Regime 1: bisect down to macro width, charging relocations. Above
+  /// the relocation grain, each multi-child equal-uppers run (an
+  /// antichain, see geom::Region::Split) forks; singleton runs execute
+  /// in place so later runs see their out-sets.
   template <class S>
   void relocate_rec(const geom::Region<D>& r, PhaseCtx<S>& cx) {
     if (r.width() <= macro_w_) {
@@ -434,12 +459,19 @@ class MultiprocSimulator {
     }
     engine::trace::Span span(engine::trace::Cat::kSim, "regime1-relocate",
                              r.width());
-    std::vector<geom::Region<D>> children = r.split();
-    if (reloc_parallel(r)) {
-      relocate_children_forked(r, children, cx);
-    } else {
-      for (const geom::Region<D>& child : children) relocate_child(child, cx);
-    }
+    const typename geom::Region<D>::Split sp = r.split_runs();
+    const bool fork = cfg_.reloc_grain > 0 && r.width() > cfg_.reloc_grain &&
+                      sep::can_fork();
+    sp.for_each_run([&](std::size_t i, std::size_t j) {
+      if (fork && j - i > 1) {
+        fork_logged(engine::ForkPhase::kRegime1Relocate, cx, j - i,
+                    [&](std::size_t k, PhaseCtx<Shard>& sub) {
+                      relocate_child(sp.children[i + k], sub);
+                    });
+      } else {
+        for (std::size_t k = i; k < j; ++k) relocate_child(sp.children[k], cx);
+      }
+    });
   }
 
   template <class S>
@@ -450,83 +482,6 @@ class MultiprocSimulator {
     relocate_rec(child, cx);
     charge_relocation_ctx(cx, static_cast<std::size_t>(child.outset_count()),
                           dist);
-  }
-
-  /// Fork runs of consecutive equal-uppers children of one regime-1
-  /// node — the same antichain argument as the executor's
-  /// exec_children_forked: split() orders children by how many
-  /// monotone coordinates take the upper half, and within one such run
-  /// no child can feed another. Singleton runs execute in place so
-  /// later runs see their out-sets.
-  template <class S>
-  void relocate_children_forked(const geom::Region<D>& r,
-                                const std::vector<geom::Region<D>>& children,
-                                PhaseCtx<S>& cx) {
-    struct Fork {
-      engine::Scratch<PhaseLog> log;  // pooled on the forking thread
-      std::optional<Shard> shard;
-    };
-    auto uppers = [&r](const geom::Region<D>& child) {
-      int u = 0;
-      for (int k = 0; k < geom::Region<D>::K; ++k)
-        if (child.lo()[k] != r.lo()[k]) ++u;
-      return u;
-    };
-    std::size_t i = 0;
-    while (i < children.size()) {
-      std::size_t j = i + 1;
-      while (j < children.size() && uppers(children[j]) == uppers(children[i]))
-        ++j;
-      if (j - i == 1) {
-        relocate_child(children[i], cx);
-      } else {
-        std::vector<Fork> forks(j - i);
-        for (Fork& fk : forks) fk.shard.emplace(sep::overlay, *cx.store);
-        engine::TaskScope scope(engine::ForkPhase::kRegime1Relocate);
-        for (std::size_t k = i; k < j; ++k) {
-          Fork& fk = forks[k - i];
-          const geom::Region<D>& child = children[k];
-          scope.fork([this, &fk, &child] {
-            PhaseCtx<Shard> sub{&*fk.shard, &*fk.log};
-            relocate_child(child, sub);
-          });
-        }
-        scope.join();
-        join_forked_group(forks, cx);
-      }
-      i = j;
-    }
-  }
-
-  /// Fork one top-level machine-tile wavefront (tiles of one
-  /// anti-diagonal are mutually independent); each tile records its
-  /// whole regime-1 subtree in a PhaseLog over a private shard.
-  template <class TileWave>
-  void exec_tilewave_forked(const TileWave& wave, std::size_t k,
-                            double rdist) {
-    struct Fork {
-      engine::Scratch<PhaseLog> log;  // pooled on the forking thread
-      std::optional<Shard> shard;
-    };
-    std::vector<Fork> forks(wave.size());
-    for (Fork& fk : forks) fk.shard.emplace(sep::overlay, staging_);
-    engine::TaskScope scope(engine::ForkPhase::kMachineTile);
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Fork& fk = forks[i];
-      const auto& tile = wave[i];
-      scope.fork([this, &fk, &tile, k, rdist] {
-        engine::trace::Span tile_span(engine::trace::Cat::kSim,
-                                      "machine-tile", tile.width(),
-                                      static_cast<std::int64_t>(k));
-        PhaseCtx<Shard> cx{&*fk.shard, &*fk.log};
-        charge_relocation_ctx(
-            cx, static_cast<std::size_t>(tile.preboundary_count()), rdist);
-        relocate_rec(tile, cx);
-      });
-    }
-    scope.join();
-    PhaseCtx<Store> root{&staging_, nullptr};
-    join_forked_group(forks, root);
   }
 
   // -------------------------------------------------------------------
@@ -590,8 +545,14 @@ class MultiprocSimulator {
                                     static_cast<std::int64_t>(wave.size()),
                                     static_cast<std::int64_t>(wi));
       if (wave_parallel(wave.size())) {
-        exec_wave_forked(wave, cx);
-      } else if (cx.log != nullptr) {
+        Replay rp = replay_for<S>();
+        sep::fork_join<D, V, SubtileStep>(
+            engine::ForkPhase::kRegime2Wave, *cx.store, wave.size(),
+            [&](std::size_t i, Shard& shard, SubtileStep& sb) {
+              make_subtile_step(wave[i], shard, sb);
+            },
+            [&](SubtileStep& sb) { join_step(cx, sb, rp); });
+      } else if constexpr (PhaseCtx<S>::kLogged) {
         // Serial within an enclosing fork: execute against the fork's
         // shard, recording each subtile as a step for the join replay.
         for (const geom::Region<D>& sub : wave) {
@@ -602,83 +563,88 @@ class MultiprocSimulator {
       } else {
         for (const geom::Region<D>& sub : wave) exec_subtile(sub);
       }
-      if (cx.log != nullptr)
+      if constexpr (PhaseCtx<S>::kLogged)
         cx.log->push_back(BarrierStep{});
       else
         wave_barrier();
     }
   }
 
-  /// The forked/logged subtile body: identify the home processor,
-  /// split the preboundary, record the pre charges and run the body
-  /// through the executor against `store` — no shared state touched.
+  /// Home strip of a subtile: the strip of its first point.
+  std::array<std::int64_t, D> home_strip(const geom::Region<D>& sub) const {
+    auto fp = sub.first_point();
+    BSMP_ASSERT(fp.has_value());
+    return strip_of(fp->x);
+  }
+
+  /// Split a subtile's preboundary into resident and strip-crossing
+  /// words (counting visitor — no materialized vector) and charge their
+  /// moves into `lg`: the home processor's CostLedger on the serial
+  /// path, the step's pre ChargeLog on the forked one.
+  template <class Ledger>
+  PreSplit charge_subtile_pre(const geom::Region<D>& sub,
+                              const std::array<std::int64_t, D>& home,
+                              Ledger& lg) const {
+    PreSplit ps;
+    sub.preboundary_visit([&](const geom::Point<D>& q) {
+      if (strip_of(q.x) != home)
+        ++ps.cross;
+      else
+        ++ps.resident;
+    });
+    lg.charge(core::CostKind::kBlockMove,
+              2.0 * f_rest_ * static_cast<core::Cost>(ps.resident),
+              ps.resident);
+    if (ps.cross > 0)
+      lg.charge(core::CostKind::kComm,
+                link_ * static_cast<core::Cost>(ps.cross), ps.cross);
+    return ps;
+  }
+
+  /// Clock cost of a subtile's preboundary moves, in the one expression
+  /// the serial path and the join replay share.
+  core::Cost pre_cost(const PreSplit& ps) const {
+    core::Cost cost = 0;
+    cost += 2.0 * f_rest_ * static_cast<core::Cost>(ps.resident);
+    if (ps.cross > 0) cost += link_ * static_cast<core::Cost>(ps.cross);
+    return cost;
+  }
+
+  /// The forked/logged subtile body: record the pre charges and run
+  /// the body through the executor against `store` — no shared state
+  /// touched. Its span args match exec_subtile's, so the deterministic
+  /// span set is the same whether the wave forked or ran serially.
   template <class S>
   void make_subtile_step(const geom::Region<D>& sub, S& store,
                          SubtileStep& sb) {
     sb.sub = sub;
-    auto fp = sub.first_point();
-    BSMP_ASSERT(fp.has_value());
-    auto home = strip_of(fp->x);
+    const auto home = home_strip(sub);
     sb.pr = proc_of_strip(home);
-    // Span args match exec_subtile's so the deterministic span set is
-    // the same whether the wave forked or ran serially.
     engine::trace::Span sub_span(engine::trace::Cat::kSim, "regime2-subtile",
                                  sub.width(), sb.pr);
-    sub.preboundary_visit([&](const geom::Point<D>& q) {
-      if (strip_of(q.x) != home)
-        ++sb.cross;
-      else
-        ++sb.resident;
-    });
-    sb.pre.charge(core::CostKind::kBlockMove,
-                  2.0 * f_rest_ * static_cast<core::Cost>(sb.resident),
-                  sb.resident);
-    if (sb.cross > 0)
-      sb.pre.charge(core::CostKind::kComm,
-                    link_ * static_cast<core::Cost>(sb.cross), sb.cross);
+    sb.split = charge_subtile_pre(sub, home, sb.pre);
     sb.delta = exec_->execute_delta(sub, store, sb.body);
   }
 
   /// One subtile of a Regime-2 wave, serially at the root (the
   /// reference path: charges hit the shared ledgers directly).
   void exec_subtile(const geom::Region<D>& sub) {
-    auto fp = sub.first_point();
-    BSMP_ASSERT(fp.has_value());
-    auto home = strip_of(fp->x);
-    std::int64_t pr = proc_of_strip(home);
+    const auto home = home_strip(sub);
+    const std::int64_t pr = proc_of_strip(home);
     engine::trace::Span sub_span(engine::trace::Cat::kSim, "regime2-subtile",
                                  sub.width(), pr);
-
-    // Root preboundary: resident words vs strip-crossing words
-    // (counting visitor — no materialized vector).
-    std::size_t cross = 0, resident = 0;
-    sub.preboundary_visit([&](const geom::Point<D>& q) {
-      if (strip_of(q.x) != home)
-        ++cross;
-      else
-        ++resident;
-    });
-
-    core::Cost cost = 0;
-    cost += 2.0 * f_rest_ * static_cast<core::Cost>(resident);
-    ledgers_[static_cast<std::size_t>(pr)].charge(
-        core::CostKind::kBlockMove,
-        2.0 * f_rest_ * static_cast<core::Cost>(resident), resident);
-    if (cross > 0) {
-      core::Cost c = link_ * static_cast<core::Cost>(cross);
-      cost += c;
-      ledgers_[static_cast<std::size_t>(pr)].charge(core::CostKind::kComm,
-                                                    c, cross);
-    }
+    core::CostLedger& lg = ledgers_[static_cast<std::size_t>(pr)];
+    const PreSplit ps = charge_subtile_pre(sub, home, lg);
+    core::Cost cost = pre_cost(ps);
 
     // Subtile body via the separator executor, charged to pr.
-    exec_->set_ledger(&ledgers_[static_cast<std::size_t>(pr)]);
-    core::Cost before = ledgers_[static_cast<std::size_t>(pr)].total();
+    exec_->set_ledger(&lg);
+    core::Cost before = lg.total();
     exec_->execute(sub, staging_);
-    cost += ledgers_[static_cast<std::size_t>(pr)].total() - before;
+    cost += lg.total() - before;
 
     clocks_.advance(pr, cost);
-    emit_subtile_ops(sub, pr, resident, cross);
+    emit_subtile_ops(sub, pr, ps);
   }
 
   /// Emit one subtile's ops. Only ever called on the root thread — by
@@ -686,21 +652,21 @@ class MultiprocSimulator {
   /// order — so the planner's shared caches see no concurrency and the
   /// stream is byte-identical either way.
   void emit_subtile_ops(const geom::Region<D>& sub, std::int64_t pr,
-                        std::size_t resident, std::size_t cross) {
+                        const PreSplit& ps) {
     if (emit_ == nullptr) return;
-    if (resident > 0) {
+    if (ps.resident > 0) {
       sched::Op<D> in;
       in.kind = sched::OpKind::kCopyIn;
       in.proc = pr;
-      in.words = static_cast<std::int64_t>(resident);
+      in.words = static_cast<std::int64_t>(ps.resident);
       in.addr_scale = s_rest_;
       emit_->push(in);
     }
-    if (cross > 0) {
+    if (ps.cross > 0) {
       sched::Op<D> cm;
       cm.kind = sched::OpKind::kComm;
       cm.proc = pr;
-      cm.words = static_cast<std::int64_t>(cross);
+      cm.words = static_cast<std::int64_t>(ps.cross);
       cm.distance = link_;
       emit_->push(cm);
     }
@@ -711,44 +677,6 @@ class MultiprocSimulator {
     for (sched::Op<D> op : body.ops()) {
       op.proc = pr;
       emit_->push(op);
-    }
-  }
-
-  /// One wave with its independent subtiles forked. Each runs against
-  /// a private StagingShard over cx's store with private ChargeLogs;
-  /// the join merges in canonical subtile order (directly at the root,
-  /// or by splicing into the enclosing fork's log).
-  template <class S>
-  void exec_wave_forked(const std::vector<geom::Region<D>>& wave,
-                        PhaseCtx<S>& cx) {
-    struct Fork {
-      engine::Scratch<SubtileStep> step;  // pooled on the forking thread
-      std::optional<Shard> shard;
-    };
-    std::vector<Fork> forks(wave.size());
-    for (Fork& fk : forks) fk.shard.emplace(sep::overlay, *cx.store);
-    engine::TaskScope scope(engine::ForkPhase::kRegime2Wave);
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      Fork& fk = forks[i];
-      const geom::Region<D>& sub = wave[i];
-      scope.fork(
-          [this, &fk, &sub] { make_subtile_step(sub, *fk.shard, *fk.step); });
-    }
-    scope.join();
-    engine::trace::Span merge_span(engine::trace::Cat::kTask, "shard-merge",
-                                   static_cast<std::int64_t>(wave.size()));
-    if (cx.log != nullptr) {
-      for (Fork& fk : forks) {
-        cx.log->push_back(std::move(*fk.step));
-        fk.shard->merge_into(*cx.store);
-      }
-      return;
-    }
-    const std::size_t base = staging_.size();
-    std::int64_t cum = 0;
-    for (Fork& fk : forks) {
-      merge_subtile_step(*fk.step, base, cum);
-      fk.shard->merge_into(staging_);
     }
   }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "analytic/fit.hpp"
 #include "core/args.hpp"
 #include "core/stats.hpp"
@@ -52,6 +55,45 @@ TEST(Args, TypeErrorsThrow) {
   EXPECT_THROW(c.get_int("m", 7), bsmp::precondition_error);
   EXPECT_THROW(c.get_double("f", 7), bsmp::precondition_error);
   EXPECT_THROW(c.get_double("g", 7), bsmp::precondition_error);
+}
+
+TEST(ParseInt, StrictAndNamesTheVariable) {
+  using bsmp::core::parse_int;
+  EXPECT_EQ(parse_int("0", "K"), 0);
+  EXPECT_EQ(parse_int("16", "K"), 16);
+  EXPECT_EQ(parse_int("-5", "K"), -5);
+  EXPECT_EQ(parse_int("9223372036854775807", "K"), INT64_MAX);
+  EXPECT_EQ(parse_int("1024", "K", 0), 1024);
+  // Each of these used to read as a number somewhere: "4x" as 4, "abc"
+  // and "" as 0, "-5" as 0 or as 2^64 - 5, an overflow as INT64_MAX.
+  for (const char* bad : {"4x", "abc", "", " ", "1.5", "0x10",
+                          "99999999999999999999999", "-"}) {
+    EXPECT_THROW(parse_int(bad, "BSMP_PARALLEL_GRAIN"),
+                 bsmp::precondition_error)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_int("-5", "BSMP_PLAN_CACHE_BYTES", 0),
+               bsmp::precondition_error);
+  EXPECT_THROW(parse_int("-1", "BSMP_RELOC_GRAIN", 0),
+               bsmp::precondition_error);
+  // An unset knob reads as its fallback.
+  EXPECT_EQ(bsmp::core::env_count("BSMP_TEST_KNOB_NEVER_SET", 7), 7);
+  try {
+    parse_int("abc", "BSMP_TRACE_BUFFER", 0);
+    ADD_FAILURE() << "expected a throw";
+  } catch (const bsmp::precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("BSMP_TRACE_BUFFER"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    parse_int("-5", "BSMP_PLAN_CACHE_BYTES", 0);
+    ADD_FAILURE() << "expected a throw";
+  } catch (const bsmp::precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("BSMP_PLAN_CACHE_BYTES"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Args, HasDistinguishesPresence) {

@@ -9,6 +9,10 @@
 // partition) and Definition 5 (convexity) by brute force.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "dag/explicit_dag.hpp"
 #include "geom/figures.hpp"
 #include "geom/region.hpp"
@@ -243,4 +247,119 @@ TEST(Split3D, D3SplitIsTopologicalPartition) {
   Region<3> p(&st, {2, -2, 2, -2, 2, -2}, {6, 2, 6, 2, 6, 2});
   ASSERT_FALSE(p.empty());
   expect_topological_partition(st, p, p.split());
+}
+
+// ---------------------------------------------------------------------
+// The equal-uppers run scanner (Region::split_runs): the runs cover
+// split()'s children in order, are maximal (the upper-half count is
+// constant within a run and rises from one run to the next), and each
+// is an antichain — no child's out-set meets a sibling's preboundary,
+// the independence every fork point of the recursion relies on.
+// ---------------------------------------------------------------------
+
+namespace {
+
+template <int D>
+int upper_halves(const Region<D>& parent, const Region<D>& child) {
+  int u = 0;
+  for (int k = 0; k < Region<D>::K; ++k)
+    if (child.lo()[k] != parent.lo()[k]) ++u;
+  return u;
+}
+
+/// `forks`: u is wide enough in every coordinate that some run must
+/// hold more than one child (small or truncated regions may split into
+/// singleton runs only).
+template <int D>
+void expect_runs_are_antichains(const Region<D>& u, const std::string& what,
+                                bool forks = false) {
+  SCOPED_TRACE(what);
+  ASSERT_FALSE(u.empty());
+  const auto sp = u.split_runs();
+  const std::vector<Region<D>> kids = u.split();
+  ASSERT_EQ(sp.children.size(), kids.size());
+  for (std::size_t i = 0; i < kids.size(); ++i) {
+    EXPECT_EQ(sp.children[i].lo(), kids[i].lo()) << "child " << i;
+    EXPECT_EQ(sp.children[i].hi(), kids[i].hi()) << "child " << i;
+  }
+
+  dag::ExplicitDag<D> g(u.stencil());
+  std::size_t next = 0, runs = 0, widest = 0;
+  int prev_uppers = -1;
+  sp.for_each_run([&](std::size_t begin, std::size_t end) {
+    EXPECT_EQ(begin, next) << "runs must be contiguous and in order";
+    ASSERT_LT(begin, end) << "empty run";
+    ASSERT_LE(end, kids.size());
+    next = end;
+    ++runs;
+    widest = std::max(widest, end - begin);
+    const int uppers = upper_halves(u, kids[begin]);
+    EXPECT_GT(uppers, prev_uppers) << "runs not maximal or out of order";
+    prev_uppers = uppers;
+    for (std::size_t i = begin; i < end; ++i) {
+      EXPECT_EQ(upper_halves(u, kids[i]), uppers) << "child " << i;
+      dag::PointSet<D> out;
+      for (const auto& q : kids[i].outset()) out.insert(q);
+      for (std::size_t j = begin; j < end; ++j) {
+        if (j == i) continue;
+        for (const auto& q : g.preboundary(to_set(kids[j])))
+          EXPECT_FALSE(out.contains(q))
+              << "child " << i << " feeds its run sibling " << j;
+      }
+    }
+  });
+  EXPECT_EQ(next, kids.size()) << "runs must cover every child";
+  EXPECT_EQ(runs, sp.runs);
+  if (forks) {
+    EXPECT_GE(widest, 2u) << "no multi-child run";
+  }
+}
+
+}  // namespace
+
+TEST(SplitRuns, D1RunsCoverChildrenAndAreAntichains) {
+  for (int64_t m : {1, 2}) {
+    Stencil<1> st{{32}, 32, m};
+    for (int64_t r : {2, 3, 4, 5, 8, 13, 16}) {
+      const std::string what =
+          "d=1 m=" + std::to_string(m) + " r=" + std::to_string(r);
+      expect_runs_are_antichains(geom::make_diamond(&st, 16, -8, r), what,
+                                 /*forks=*/r >= 4);
+      // Truncated by the mesh edge and by t = 0.
+      expect_runs_are_antichains(geom::make_diamond(&st, 0, -r, r),
+                                 what + " truncated");
+    }
+    // Unequal sides: a coordinate too short to split.
+    expect_runs_are_antichains(Region<1>(&st, {16, -8}, {17, 0}),
+                               "d=1 m=" + std::to_string(m) + " 1x8 box");
+  }
+}
+
+TEST(SplitRuns, D2RunsCoverChildrenAndAreAntichains) {
+  Stencil<2> st{{12, 12}, 12, 1};
+  for (int64_t r : {2, 3, 4, 6}) {
+    const std::string what = "d=2 r=" + std::to_string(r);
+    expect_runs_are_antichains(geom::make_octahedron(&st, 6, -2, 6, -2, r),
+                               what + " octahedron", /*forks=*/r >= 4);
+    expect_runs_are_antichains(
+        geom::make_tetrahedron(&st, 6, -2 + r, 6, -2, r),
+        what + " tetrahedron", /*forks=*/r >= 4);
+  }
+  Stencil<2> st2{{8, 8}, 8, 2};
+  expect_runs_are_antichains(Region<2>(&st2, {0, -4, 0, -4}, {8, 4, 8, 4}),
+                             "d=2 m=2 full box", /*forks=*/true);
+  expect_runs_are_antichains(Region<2>(&st2, {2, -2, 2, -1}, {6, 2, 3, 3}),
+                             "d=2 m=2 unequal sides");
+}
+
+TEST(SplitRuns, D3RunsCoverChildrenAndAreAntichains) {
+  Stencil<3> st{{8, 8, 8}, 8, 1};
+  for (int64_t r : {2, 3, 4}) {
+    expect_runs_are_antichains(
+        Region<3>(&st, {4 - r / 2, -r / 2, 4 - r / 2, -r / 2, 4 - r / 2,
+                        -r / 2},
+                  {4 - r / 2 + r, r - r / 2, 4 - r / 2 + r, r - r / 2,
+                   4 - r / 2 + r, r - r / 2}),
+        "d=3 r=" + std::to_string(r), /*forks=*/r >= 4);
+  }
 }

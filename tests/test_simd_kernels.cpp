@@ -207,11 +207,10 @@ TEST(SimdKernels, Rule110RowsMatchScalar) {
 // ---------------------------------------------------------------------
 
 TEST(SimdKernels, RowKernelConceptGatesExactly) {
-  constexpr bool on = BSMP_SIMD_ENABLED != 0;
-  static_assert(sep::simd::has_row_kernel<workload::MixKernel<1>, 1,
-                                          sep::Word> == on);
-  static_assert(sep::simd::has_row_kernel<workload::MixKernel<2>, 2,
-                                          sep::Word> == on);
+  static_assert(
+      sep::simd::has_row_kernel<workload::MixKernel<1>, 1, sep::Word>);
+  static_assert(
+      sep::simd::has_row_kernel<workload::MixKernel<2>, 2, sep::Word>);
   // No D=3 kernel is defined; the concept must say so instead of
   // letting the executor instantiate a missing row().
   static_assert(!sep::simd::has_row_kernel<workload::MixKernel<3>, 3,
@@ -240,16 +239,10 @@ TEST(SimdKernels, DisabledSwitchReportsScalarDispatch) {
   sep::simd::set_enabled(true);
   EXPECT_TRUE(sep::simd::enabled());
   const std::string isa = sep::simd::active_isa();
-#if BSMP_SIMD_ENABLED
   EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "sse2" ||
               isa == "neon" || isa == "scalar")
       << isa;
   EXPECT_GE(sep::simd::lane_width(), 1);
-#else
-  // Compiled out: enabling the switch cannot resurrect the kernels.
-  EXPECT_EQ(isa, "scalar");
-  EXPECT_EQ(sep::simd::lane_width(), 1);
-#endif
 }
 
 // ---------------------------------------------------------------------
