@@ -72,8 +72,9 @@ struct HotPathMetric {
   int lanes = 1;
   /// SIMD leaf-kernel dispatch of the section: the ISA name from
   /// sep::simd::active_isa() ("avx512"/"avx2"/"sse2"/"neon"), or
-  /// "scalar" when the section ran the per-vertex loop (no row kernel,
-  /// or BSMP_SIMD off). Observational, like the timing fields.
+  /// "scalar" when its leaves' interior spans ran one rule call per
+  /// cell (no row kernel, or BSMP_SIMD off). Observational, like the
+  /// timing fields.
   std::string simd_isa = "scalar";
   /// 64-bit lanes per vector op of simd_isa (sep::simd::lane_width());
   /// 1 for scalar sections. Distinct from `lanes`, which counts
@@ -270,8 +271,9 @@ struct MetricsPass {
 ///     batched guest carried per charged vertex (1 for scalar runs)
 ///     and the derived lanes * vertices_per_sec throughput.
 ///   * per-hot "simd_isa" and "simd_lanes" — which SIMD dispatch the
-///     section's leaf kernels took ("scalar" when the per-vertex loop
-///     ran) and the 64-bit lanes per vector op of that ISA.
+///     section's leaf kernels took ("scalar" when interior spans ran
+///     one rule call per cell) and the 64-bit lanes per vector op of
+///     that ISA.
 ///   * per-tasks "phases" — the same fork-join counters split by the
 ///     forking mechanism (engine::ForkPhase: "machine-tile",
 ///     "regime1-relocate", "regime2-wave", "regime2-subtile",

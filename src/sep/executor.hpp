@@ -33,17 +33,17 @@
 // ExecutorConfig::validate re-enables the per-level materialization
 // and asserts it changes nothing.
 //
-// SIMD leaves (see doc/ENGINE.md "SIMD kernels"): when the rule
-// passed to execute_with_rule advertises a row kernel (sep/simd.hpp
-// RowKernel) and simd::enabled(), each leaf row's interior span —
-// the consecutive cells whose operands all sit in the dense window —
-// is evaluated by one kernel call over contiguous structure-of-arrays
-// operand rows; edge cells (mesh boundary, staging operands) run the
-// scalar per-vertex path. Charging stays count-based and ordered
-// exactly as the scalar loop charges, and kernels are pure integer
-// programs, so values, the CostLedger stream, charged totals, peak
-// staging and every emitted table are byte-identical with SIMD on,
-// off, or unavailable.
+// One leaf loop (see doc/ENGINE.md "SIMD kernels"): every leaf, for
+// every D, value type and rule, runs one row walk. Each innermost row
+// splits into edge cells (mesh boundary, operands in staging), run
+// one vertex at a time, and at most one interior span — the
+// consecutive cells whose operands all sit in the dense window —
+// evaluated over contiguous operand rows: by one RowKernel call
+// (sep/simd.hpp) when the rule passed to execute_with_rule has one
+// and simd::enabled(), else by one rule call per cell. Charging is
+// count-based and per cell in visit order, so values, the CostLedger
+// stream, charged totals, peak staging and every emitted table are
+// byte-identical however a span is evaluated.
 //
 // Parallel recursion (see doc/ENGINE.md "Task layer"): when
 // ExecutorConfig::parallel_grain > 0 and sep::can_fork(), recursion
@@ -58,8 +58,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -231,13 +231,13 @@ class Executor {
 
  private:
   /// The leaf scratch triple (dense window values + per-level prefix
-  /// offsets + the SIMD self-operand row), reused across one context's
-  /// leaves. The root context of execute() borrows the executor's own;
-  /// forked executions check one out of the engine::Scratch<T> pool of
-  /// the thread they run on. clear() keeps everything: LeafWindow sizes
-  /// the vectors and fully writes the live prefix before any read, so
-  /// stale contents are unreachable and dropping capacity is the only
-  /// thing reset could cost.
+  /// offsets + the spans' gathered self-operand row), reused across one
+  /// context's leaves. The root context of execute() borrows the
+  /// executor's own; forked executions check one out of the
+  /// engine::Scratch<T> pool of the thread they run on. clear() keeps
+  /// everything: LeafWindow sizes the vectors and fully writes the live
+  /// prefix before any read, so stale contents are unreachable and
+  /// dropping capacity is the only thing reset could cost.
   struct LeafScratch {
     std::vector<V> vals;
     std::vector<std::size_t> off;
@@ -436,11 +436,21 @@ class Executor {
     }
   }
 
-  /// Interior spans shorter than this run through the scalar edge path
-  /// — a kernel call (plus possible self-row staging) is not worth two
-  /// cells of work.
+  /// Rows shorter than this, and interior spans shorter than this, run
+  /// through the edge path: a span evaluation (operand pointers, maybe
+  /// a staged self row) is not worth fewer cells of work.
   static constexpr std::int64_t kMinSpan = 2;
 
+  /// The naive execution of one leaf (Theorem 3's executable diamond)
+  /// into its dense window, in Region::for_each order: level by level,
+  /// an odometer over the outer coordinates, and each innermost row
+  /// split into edge cells and at most one *interior span* — the
+  /// consecutive cells whose 2D neighbor operands all sit in the
+  /// window's level t-1. Edge cells (t = 0, mesh boundary, operands in
+  /// staging) run `edge`; each span goes to eval_span over contiguous
+  /// operand rows. Charges are emitted per cell in visit order, and an
+  /// interior cell always has 2D+1 operands, so the kLocalAccess stream
+  /// does not depend on how a cell was evaluated.
   template <class Store, class Ledger, class RuleFn>
   void execute_leaf(const geom::Region<D>& U, Ctx<Store, Ledger>& cx,
                     const RuleFn& rule) const {
@@ -453,7 +463,7 @@ class Executor {
     auto lookup = [&](const geom::Point<D>& q) -> const V& {
       // q is a vertex; inside the leaf box it was already executed
       // (topological order), so its value sits in the dense window.
-      if (q.t >= tmin && U.in_box(q)) return win[win.slot(q)];
+      if (q.t >= tmin && U.in_box(q)) return *win.row(q.t, q.x);
       const V* v = cx.staging->find(q);
       BSMP_ASSERT_MSG(v != nullptr,
                       "operand missing at leaf: topological partition or "
@@ -461,68 +471,142 @@ class Executor {
       return *v;
     };
 
-    // One cell's value and operand count — the naive per-vertex
-    // execution (Definition 3), shared verbatim by the scalar loop and
-    // the SIMD path's edge cells.
-    auto cell = [&](const geom::Point<D>& p, int& operands) -> V {
-      if (p.t == 0) {
-        operands = 1;
-        return guest_->input(p.x, 0);  // input vertex (Definition 3)
-      }
-      V self_prev;
-      if (p.t >= st.m) {
-        geom::Point<D> q = p;
-        q.t = p.t - st.m;
-        self_prev = lookup(q);
-      } else {
-        self_prev = guest_->input(p.x, p.t % st.m);
-      }
-      BasicNeighbors<D, V> nbrs{};
-      operands = 0;
-      for (int i = 0; i < D; ++i) {
-        for (int s = 0; s < 2; ++s) {
-          geom::Point<D> q = p;
-          q.x[i] += (s == 0 ? -1 : 1);
-          q.t = p.t - 1;
-          if (st.in_space(q.x)) {
-            nbrs[2 * i + s] = lookup(q);
-            ++operands;
-          }
-        }
-      }
-      ++operands;  // self operand
-      return rule(p, self_prev, nbrs);
-    };
-
     auto la = cx.ledger->stream(core::CostKind::kLocalAccess);
     std::uint64_t la_events = 0;
-    std::int64_t executed = 0;
 
-    bool vectored = false;
-    if constexpr (simd::has_row_kernel<RuleFn, D, V> && (D == 1 || D == 2)) {
-      if (simd::enabled()) {
-        execute_leaf_rows(U, win, cx, rule, f_leaf, la, la_events, executed,
-                          cell, lookup);
-        vectored = true;
+    // One edge cell: the naive per-vertex execution (Definition 3) and
+    // its charge — one read per operand plus one result write, each
+    // f(S(leaf)), streamed so the per-vertex addition order (and hence
+    // the floating-point total) matches a charge() call per vertex.
+    auto edge = [&](const geom::Point<D>& p, V* dst) {
+      int operands = 1;  // self operand
+      if (p.t == 0) {
+        *dst = guest_->input(p.x, 0);  // input vertex (Definition 3)
+      } else {
+        V self_prev;
+        if (p.t >= st.m) {
+          geom::Point<D> q = p;
+          q.t = p.t - st.m;
+          self_prev = lookup(q);
+        } else {
+          self_prev = guest_->input(p.x, p.t % st.m);
+        }
+        BasicNeighbors<D, V> nbrs{};
+        for (int i = 0; i < D; ++i) {
+          for (int s = 0; s < 2; ++s) {
+            geom::Point<D> q = p;
+            q.x[i] += (s == 0 ? -1 : 1);
+            q.t = p.t - 1;
+            if (st.in_space(q.x)) {
+              nbrs[2 * i + s] = lookup(q);
+              ++operands;
+            }
+          }
+        }
+        *dst = rule(p, self_prev, nbrs);
       }
-    }
-    if (!vectored) {
-      std::size_t w = 0;
-      U.for_each([&](const geom::Point<D>& p) {
-        int operands = 0;
-        V value = cell(p, operands);
-        win[w++] = value;
-        ++executed;
-        // One read per operand plus one result write, each f(S(leaf)):
-        // streamed so the per-vertex addition order (and hence the
-        // floating-point total) matches a charge() call per vertex.
-        la.add_cost(static_cast<core::Cost>(operands + 1) * f_leaf);
-        la_events += static_cast<std::uint64_t>(operands + 1);
-      });
+      la.add_cost(static_cast<core::Cost>(operands + 1) * f_leaf);
+      la_events += static_cast<std::uint64_t>(operands + 1);
+    };
+    const core::Cost span_cost =
+        static_cast<core::Cost>(2 * D + 2) * f_leaf;
+
+    // The interior span [vlo, vhi] of the row through p at level p.t:
+    // neighbor rows come from the window's level t-1, the self row from
+    // its level t-m when the whole span sits there, else from staging
+    // (in place if it holds a dense row, or gathered into self_row), or
+    // from the input cells when t < m.
+    auto span = [&](geom::Point<D> p, std::int64_t vlo, std::int64_t vhi,
+                    V* dst) {
+      const std::int64_t t = p.t;
+      const std::size_t n = static_cast<std::size_t>(vhi - vlo + 1);
+      p.x[D - 1] = vlo;
+      const V* nbrs[geom::kMono<D>];
+      for (int i = 0; i < D; ++i) {
+        for (int s = 0; s < 2; ++s) {
+          std::array<std::int64_t, D> x = p.x;
+          x[i] += (s == 0 ? -1 : 1);
+          nbrs[2 * i + s] = win.row(t - 1, x);
+        }
+      }
+      geom::Point<D> q = p;  // the self operand of the span's first cell
+      q.t = t - st.m;
+      const V* self = nullptr;
+      if (t >= st.m && q.t >= tmin) {
+        q.x[D - 1] = vhi;
+        const bool last_in = U.in_box(q);
+        q.x[D - 1] = vlo;
+        if (last_in && U.in_box(q)) self = win.row(q.t, q.x);
+      } else if (t >= st.m) {
+        self = cx.staging->row_span(q, n);
+      }
+      if (self == nullptr) {
+        std::vector<V>& row = cx.leaf->self_row;
+        if (row.size() < n) row.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          q.x[D - 1] = vlo + static_cast<std::int64_t>(i);
+          row[i] = t >= st.m ? lookup(q) : guest_->input(q.x, t % st.m);
+        }
+        self = row.data();
+      }
+      eval_span(rule, dst, self, nbrs, n, p);
+      la_events += static_cast<std::uint64_t>(2 * D + 2) * n;
+      for (std::size_t i = 0; i < n; ++i) la.add_cost(span_cost);
+    };
+
+    // The window fills its scratch in visit order, so the output row
+    // pointer just advances.
+    V* out = cx.leaf->vals.data();
+    std::array<std::pair<std::int64_t, std::int64_t>, D> r{}, pr{};
+    geom::Point<D> p;
+    for (std::int64_t t = tmin; t <= win.tmax(); ++t) {
+      bool empty = false;
+      for (int i = 0; i < D; ++i) {
+        r[i] = U.x_range(i, t);
+        empty = empty || r[i].first > r[i].second;
+      }
+      if (empty) continue;
+      const auto [a, b] = r[D - 1];
+      // Innermost span bounds, shared by every row of the level; only
+      // rows long enough to hold a span look at the level below.
+      std::int64_t vlo = a, vhi = a - 1;
+      if (t > tmin && b - a + 1 >= kMinSpan) {
+        for (int i = 0; i < D; ++i) pr[i] = U.x_range(i, t - 1);
+        vlo = std::max(a, pr[D - 1].first + 1);
+        vhi = std::min(b, pr[D - 1].second - 1);
+        if (vhi - vlo + 1 < kMinSpan) vhi = vlo - 1;
+      }
+      p.t = t;
+      for (int i = 0; i + 1 < D; ++i) p.x[i] = r[i].first;
+      for (;;) {
+        bool interior = vlo <= vhi;
+        for (int i = 0; i + 1 < D && interior; ++i)
+          interior = p.x[i] > pr[i].first && p.x[i] < pr[i].second;
+        const std::int64_t lo = interior ? vlo : b + 1;
+        for (std::int64_t x = a; x < lo; ++x) {
+          p.x[D - 1] = x;
+          edge(p, out + (x - a));
+        }
+        if (interior) {
+          span(p, vlo, vhi, out + (vlo - a));
+          for (std::int64_t x = vhi + 1; x <= b; ++x) {
+            p.x[D - 1] = x;
+            edge(p, out + (x - a));
+          }
+        }
+        out += b - a + 1;
+        int i = D - 2;  // odometer over the outer coordinates
+        for (; i >= 0; --i) {
+          if (++p.x[i] <= r[i].second) break;
+          p.x[i] = r[i].first;
+        }
+        if (i < 0) break;
+      }
     }
     la.add_events(la_events);
     // Unit compute per vertex: integer-valued, so one batched charge is
-    // bit-identical to `executed` unit charges.
+    // bit-identical to one unit charge per executed vertex.
+    const auto executed = static_cast<std::int64_t>(win.size());
     cx.ledger->charge(core::CostKind::kCompute,
                       static_cast<core::Cost>(executed),
                       static_cast<std::uint64_t>(executed));
@@ -531,180 +615,35 @@ class Executor {
     std::int64_t nout = 0;
     U.outset_spans([&](const geom::Point<D>& q, std::int64_t hi) {
       const std::int64_t len = hi - q.x[D - 1] + 1;
-      cx.insert_span(q, &win[win.slot(q)], static_cast<std::size_t>(len));
+      cx.insert_span(q, win.row(q.t, q.x), static_cast<std::size_t>(len));
       nout += len;
     });
     cx.leaf_out = nout;
     if (cfg_.validate) validate_outset(U, *cx.staging);
   }
 
-  /// The SIMD leaf: level by level, row by row, each innermost row is
-  /// split into the *interior span* — the consecutive cells whose
-  /// 2D+1 operands all sit in the dense window — and scalar edges.
-  /// The span's operand rows are contiguous SoA slices of the window
-  /// (or, for the self operand, of a scratch row staged through the
-  /// same lookup the scalar path uses), so one RowKernel call computes
-  /// the whole span. Charges are emitted per cell, in exactly the
-  /// scalar loop's visit order and amounts: interior cells always have
-  /// 2D+1 operands, so the kLocalAccess stream is bit-identical.
-  template <class Store, class Ledger, class RuleFn, class Stream,
-            class Cell, class Lookup>
-  void execute_leaf_rows(const geom::Region<D>& U, LeafWindow<D, V>& win,
-                         Ctx<Store, Ledger>& cx, const RuleFn& rule,
-                         core::Cost f_leaf, Stream& la,
-                         std::uint64_t& la_events, std::int64_t& executed,
-                         const Cell& cell, const Lookup& lookup) const {
-    const geom::Stencil<D>& st = guest_->stencil;
-    const std::int64_t tmin = win.tmin();
-    // Cost of one edge cell, charged as the scalar loop charges it.
-    auto scalar_cell = [&](geom::Point<D> p, V* dst) {
-      int operands = 0;
-      *dst = cell(p, operands);
-      ++executed;
-      la.add_cost(static_cast<core::Cost>(operands + 1) * f_leaf);
-      la_events += static_cast<std::uint64_t>(operands + 1);
-    };
-    // Interior cells always carry 2D+1 operands plus the result write.
-    const core::Cost span_cost =
-        static_cast<core::Cost>(2 * D + 2) * f_leaf;
-    // Stage the self operand of span [vlo, vhi] at level t into a
-    // contiguous scratch row — unless it already is one in the window,
-    // or the staging store can serve the whole span as a dense row
-    // (the common case when the leaf sits m levels above its staged
-    // preboundary: zero copies, the kernel reads the slab in place).
-    std::vector<V>& self_row = cx.leaf->self_row;
-    auto stage_self = [&](std::int64_t t, std::int64_t vlo, std::int64_t vhi,
-                          geom::Point<D> q) -> const V* {
-      const std::size_t n = static_cast<std::size_t>(vhi - vlo + 1);
-      q.t = t - st.m;
-      if (t >= st.m) {
-        if (t - st.m < win.tmin()) {
-          q.x[D - 1] = vlo;
-          if (const V* r = cx.staging->row_span(q, n)) return r;
-        }
-        if (self_row.size() < n) self_row.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          q.x[D - 1] = vlo + static_cast<std::int64_t>(i);
-          self_row[i] = lookup(q);
-        }
-      } else {
-        if (self_row.size() < n) self_row.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          q.x[D - 1] = vlo + static_cast<std::int64_t>(i);
-          self_row[i] = guest_->input(q.x, t % st.m);
-        }
+  /// Evaluate the rule over one interior span: out[i] is the value of
+  /// p advanced by i along the innermost coordinate, from self[i] and
+  /// nbrs[k][i]. One RowKernel call when the rule has one and
+  /// simd::enabled(); otherwise one rule call per cell over the same
+  /// rows. Both give the same values (sep/simd.hpp contract).
+  template <class RuleFn>
+  static void eval_span(const RuleFn& rule, V* out, const V* self,
+                        const V* const* nbrs, std::size_t n,
+                        geom::Point<D> p) {
+    if constexpr (simd::has_row_kernel<RuleFn, D, V>) {
+      if (simd::enabled()) {
+        rule.row(out, self, nbrs, n, p, 1);
+        return;
       }
-      return self_row.data();
-    };
-
-    for (std::int64_t t = tmin; t <= win.tmax(); ++t) {
-      if constexpr (D == 1) {
-        const auto [a, b] = U.x_range(0, t);
-        if (a > b) continue;
-        V* out_row = win.row(t);
-        geom::Point<1> p;
-        p.t = t;
-        // Interior span: both (x±1, t-1) neighbors inside the window
-        // row below (which also puts them in space).
-        std::int64_t pa = 0, pb = -1;
-        std::int64_t vlo = a, vhi = a - 1;
-        if (t > tmin) {
-          std::tie(pa, pb) = U.x_range(0, t - 1);
-          vlo = std::max(a, pa + 1);
-          vhi = std::min(b, pb - 1);
-        }
-        if (vhi - vlo + 1 < kMinSpan) {
-          vlo = a;
-          vhi = a - 1;  // whole row through the scalar path
-        }
-        for (std::int64_t x = a; x < vlo; ++x) {
-          p.x[0] = x;
-          scalar_cell(p, out_row + (x - a));
-        }
-        if (vlo <= vhi) {
-          const std::size_t n = static_cast<std::size_t>(vhi - vlo + 1);
-          const V* prev = win.row(t - 1);
-          const V* self;
-          bool self_in_window = false;
-          if (t >= st.m && t - st.m >= tmin) {
-            const auto [sa, sb] = U.x_range(0, t - st.m);
-            self_in_window = vlo >= sa && vhi <= sb;
-            if (self_in_window) self = win.row(t - st.m) + (vlo - sa);
-          }
-          if (!self_in_window) self = stage_self(t, vlo, vhi, p);
-          const V* nbrs[2] = {prev + (vlo - 1 - pa), prev + (vlo + 1 - pa)};
-          p.x[0] = vlo;
-          rule.row(out_row + (vlo - a), self, nbrs, n, p, 1);
-          executed += static_cast<std::int64_t>(n);
-          la_events += static_cast<std::uint64_t>(2 * D + 2) * n;
-          for (std::size_t i = 0; i < n; ++i) la.add_cost(span_cost);
-        }
-        for (std::int64_t x = vhi + 1; x <= b; ++x) {
-          p.x[0] = x;
-          scalar_cell(p, out_row + (x - a));
-        }
-      } else {
-        static_assert(D == 2);
-        const auto [a0, b0] = U.x_range(0, t);
-        const auto [a1, b1] = U.x_range(1, t);
-        if (a0 > b0 || a1 > b1) continue;
-        std::int64_t p0a = 0, p0b = -1, p1a = 0, p1b = -1;
-        if (t > tmin) {
-          std::tie(p0a, p0b) = U.x_range(0, t - 1);
-          std::tie(p1a, p1b) = U.x_range(1, t - 1);
-        }
-        geom::Point<2> p;
-        p.t = t;
-        for (std::int64_t x0 = a0; x0 <= b0; ++x0) {
-          p.x[0] = x0;
-          V* out_row = win.row(t, x0);
-          // Interior span: all four (t-1) neighbor rows inside the
-          // window (rows x0-1, x0, x0+1 of the level below).
-          std::int64_t vlo = a1, vhi = a1 - 1;
-          if (t > tmin && x0 - 1 >= p0a && x0 + 1 <= p0b) {
-            vlo = std::max(a1, p1a + 1);
-            vhi = std::min(b1, p1b - 1);
-          }
-          if (vhi - vlo + 1 < kMinSpan) {
-            vlo = a1;
-            vhi = a1 - 1;
-          }
-          for (std::int64_t x1 = a1; x1 < vlo; ++x1) {
-            p.x[1] = x1;
-            scalar_cell(p, out_row + (x1 - a1));
-          }
-          if (vlo <= vhi) {
-            const std::size_t n = static_cast<std::size_t>(vhi - vlo + 1);
-            const V* r_lo = win.row(t - 1, x0 - 1);
-            const V* r_md = win.row(t - 1, x0);
-            const V* r_hi = win.row(t - 1, x0 + 1);
-            const V* self;
-            bool self_in_window = false;
-            if (t >= st.m && t - st.m >= tmin) {
-              const auto [sa0, sb0] = U.x_range(0, t - st.m);
-              if (x0 >= sa0 && x0 <= sb0) {
-                const auto [sa1, sb1] = U.x_range(1, t - st.m);
-                self_in_window = vlo >= sa1 && vhi <= sb1;
-                if (self_in_window)
-                  self = win.row(t - st.m, x0) + (vlo - sa1);
-              }
-            }
-            if (!self_in_window) self = stage_self(t, vlo, vhi, p);
-            const V* nbrs[4] = {r_lo + (vlo - p1a), r_hi + (vlo - p1a),
-                                r_md + (vlo - 1 - p1a),
-                                r_md + (vlo + 1 - p1a)};
-            p.x[1] = vlo;
-            rule.row(out_row + (vlo - a1), self, nbrs, n, p, 1);
-            executed += static_cast<std::int64_t>(n);
-            la_events += static_cast<std::uint64_t>(2 * D + 2) * n;
-            for (std::size_t i = 0; i < n; ++i) la.add_cost(span_cost);
-          }
-          for (std::int64_t x1 = vhi + 1; x1 <= b1; ++x1) {
-            p.x[1] = x1;
-            scalar_cell(p, out_row + (x1 - a1));
-          }
-        }
-      }
+    }
+    BasicNeighbors<D, V> nb;
+    const std::int64_t x0 = p.x[D - 1];
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int k = 0; k < geom::kMono<D>; ++k)
+        nb[static_cast<std::size_t>(k)] = nbrs[k][i];
+      p.x[D - 1] = x0 + static_cast<std::int64_t>(i);
+      out[i] = rule(p, self[i], nb);
     }
   }
 

@@ -20,9 +20,12 @@ std::atomic<bool>& enabled_flag() {
 
 /// Best ISA among the compiled kernel clones that this CPU supports.
 /// Mirrors the loader's IFUNC resolution: the GCC clone list tops out
-/// at x86-64-v4, clang's at AVX2.
+/// at x86-64-v4, clang's at AVX2; ThreadSanitizer builds compile the
+/// default clone only (see BSMP_SIMD_CLONES).
 const char* detect_isa() {
-#if defined(__x86_64__)
+#if defined(__x86_64__) && defined(__SANITIZE_THREAD__)
+  return "sse2";
+#elif defined(__x86_64__)
   __builtin_cpu_init();
 #if defined(__GNUC__) && !defined(__clang__)
   if (__builtin_cpu_supports("avx512f") &&

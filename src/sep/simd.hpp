@@ -5,10 +5,12 @@
 // level's cells contiguously in row-major order, so the innermost
 // spatial dimension of every leaf row is a structure-of-arrays span:
 // `n` consecutive cells whose operands are `n` consecutive words in
-// the rows below. A *row kernel* evaluates the guest rule over such a
-// span in one call — the compiler vectorizes the span loop (AVX2 /
-// AVX-512 on x86-64, NEON on aarch64) and the executor keeps the
-// charge stream count-based and bit-identical to the scalar loop.
+// the rows below. The executor's one leaf walk hands every such
+// interior span to one evaluator; a *row kernel* evaluates the guest
+// rule over the span in one call — the compiler vectorizes the span
+// loop (AVX2 / AVX-512 on x86-64, NEON on aarch64) — and without one
+// the evaluator calls the rule once per cell. The charge stream is
+// count-based and per cell, so it does not depend on which ran.
 //
 // Contract (doc/ENGINE.md "SIMD kernels", doc/PERF.md):
 //
@@ -32,7 +34,8 @@
 //     staging and every emitted table are unchanged by BSMP_SIMD;
 //   * selection: the BSMP_SIMD environment variable ("off"/"0"/
 //     "scalar" disables, anything else enables; see simd::enabled)
-//     picks the path at runtime, and on x86-64 the kernels themselves
+//     picks, at runtime, between the kernel and per-cell evaluation of
+//     the same spans, and on x86-64 the kernels themselves
 //     are compiled as target_clones so one binary carries scalar, AVX2
 //     and (GCC) AVX-512 versions dispatched by the loader.
 #pragma once
@@ -49,7 +52,13 @@
 // so it gets the AVX2 clone only; GCC additionally gets x86-64-v4
 // (AVX-512F/BW/CD/DQ/VL), whose native 64-bit vector multiply the mix
 // kernel leans on.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// ThreadSanitizer builds (GCC defines __SANITIZE_THREAD__) carry the
+// default clone only: the loader runs IFUNC resolvers before the TSan
+// runtime is initialized, and an instrumented resolver crashes the
+// process at startup.
+#if defined(__SANITIZE_THREAD__)
+#define BSMP_SIMD_CLONES
+#elif defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define BSMP_SIMD_CLONES \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
 #elif defined(__x86_64__) && defined(__clang__)
@@ -62,8 +71,9 @@ namespace bsmp::sep::simd {
 
 /// Runtime SIMD switch. Defaults from the BSMP_SIMD environment
 /// variable at first use: "0", "off" or "scalar" (case-sensitive)
-/// force the scalar leaf loop; unset or anything else leaves the
-/// vector path on. Per-process, settable by tests and benches.
+/// make the leaf evaluate every interior span one rule call per cell;
+/// unset or anything else lets a rule's row kernel take the spans.
+/// Per-process, settable by tests and benches.
 bool enabled();
 
 /// Override the runtime switch (tests; the bench's side-by-side runs).
@@ -71,7 +81,7 @@ void set_enabled(bool on);
 
 /// The instruction set the row kernels dispatch to right now:
 /// "avx512", "avx2" or "sse2" on x86-64, "neon" on aarch64 — or
-/// "scalar" when the vector path is disabled (BSMP_SIMD off) or no
+/// "scalar" when row kernels are disabled (BSMP_SIMD off) or no
 /// kernels are compiled for this target.
 const char* active_isa();
 
@@ -81,10 +91,10 @@ const char* active_isa();
 int lane_width();
 
 /// Detects whether R provides the dimension-D row kernel of the header
-/// contract. The executor's leaf takes the vector path only when this
-/// holds for the rule it was handed *and* values are plain words
-/// (V = Word) *and* simd::enabled() — otherwise it runs the scalar
-/// per-vertex loop, unchanged.
+/// contract. The executor's leaf hands an interior span to the kernel
+/// only when this holds for the rule it was handed *and* values are
+/// plain words (V = Word) *and* simd::enabled() — otherwise it
+/// evaluates the same span with one rule call per cell.
 template <class R, int D>
 concept RowKernel = requires(const R& r, Word* out, const Word* self,
                              const Word* const* nbrs, std::size_t n,

@@ -117,8 +117,8 @@ class StagingStore {
   /// Pointer to n contiguous live values along the innermost dimension
   /// starting at q, or nullptr when the span is not fully live (or the
   /// level is absent). Slots are row-major with the innermost dimension
-  /// contiguous, so a live span IS a dense operand row — the SIMD leaf
-  /// path hands it to a kernel without any per-cell staging copy.
+  /// contiguous, so a live span IS a dense operand row — the leaf hands
+  /// it to its span evaluator without any per-cell staging copy.
   const V* row_span(const geom::Point<D>& q, std::size_t n) const {
     if (q.t < 0 || q.t >= st_->horizon) return nullptr;
     const Level* lv = &levels_[static_cast<std::size_t>(q.t)];
@@ -211,7 +211,7 @@ class StagingStore {
   /// its slab (arena on: onto the store's recycle stack for a pure
   /// epoch-bump reuse; off: back to the allocator). Levels are
   /// all-or-nothing here because staleness is a pure function of t
-  /// (see sim::detail::prune_staging).
+  /// (see sim::detail::run_waves).
   void prune_below(std::int64_t dead_below, std::int64_t keep_from) {
     std::int64_t top = std::min(dead_below, keep_from);
     top = std::min(top, st_->horizon);
@@ -374,7 +374,7 @@ class StagingStore {
 // (sep/simd.hpp) reads and writes plain arrays. LeafWindow binds the
 // region geometry to a caller-owned scratch vector (the executor
 // recycles one per execution context, keeping steady-state leaves
-// allocation-free) and provides O(1) slot and row-pointer addressing.
+// allocation-free) and provides O(D) cell-pointer addressing.
 // ---------------------------------------------------------------------
 
 template <int D, class V = Word>
@@ -405,47 +405,19 @@ class LeafWindow {
   /// Number of cells in the window (live scratch prefix).
   std::size_t size() const { return total_; }
 
-  /// Inclusive x-range of dimension i at level t (the region's own).
-  std::pair<std::int64_t, std::int64_t> x_range(int i, std::int64_t t) const {
-    return U_->x_range(i, t);
-  }
-
-  /// Slot of point q: per-level prefix offset plus the row-major x
-  /// offset — the position Region::for_each visits q at, so sequential
-  /// execution writes slots 0, 1, 2, ...
-  std::size_t slot(const geom::Point<D>& q) const {
+  /// Pointer to the cell (t, x). The rest of x's innermost row follows
+  /// it contiguously (x + e_{D-1}, ... up to the region's x_range(D-1,
+  /// t) bound), and the whole window is laid out in Region::for_each
+  /// order: per-level prefix offset plus the row-major x offset.
+  V* row(std::int64_t t, const std::array<std::int64_t, D>& x) const {
     std::size_t idx = 0;
     for (int i = 0; i < D; ++i) {
-      auto [a, b] = U_->x_range(i, q.t);
+      auto [a, b] = U_->x_range(i, t);
       idx = idx * static_cast<std::size_t>(b - a + 1) +
-            static_cast<std::size_t>(q.x[i] - a);
+            static_cast<std::size_t>(x[i] - a);
     }
-    return (*off_)[static_cast<std::size_t>(q.t - tmin_)] + idx;
-  }
-
-  V& operator[](std::size_t s) { return (*vals_)[s]; }
-  const V& operator[](std::size_t s) const { return (*vals_)[s]; }
-
-  /// d=1: pointer to the cell at (x=a, t) where [a, b] = x_range(0, t);
-  /// the level's cells for x in [a, b] are ptr[0..b-a].
-  V* row(std::int64_t t)
-    requires(D == 1)
-  {
-    return vals_->data() + (*off_)[static_cast<std::size_t>(t - tmin_)];
-  }
-
-  /// d=2: pointer to the cell at (x0, x1=a1, t) where [a1, b1] =
-  /// x_range(1, t); the row's cells for x1 in [a1, b1] are ptr[0..b1-a1].
-  V* row(std::int64_t t, std::int64_t x0)
-    requires(D == 2)
-  {
-    auto [a0, b0] = U_->x_range(0, t);
-    auto [a1, b1] = U_->x_range(1, t);
-    (void)b0;
-    return vals_->data() +
-           (*off_)[static_cast<std::size_t>(t - tmin_)] +
-           static_cast<std::size_t>(x0 - a0) *
-               static_cast<std::size_t>(b1 - a1 + 1);
+    return vals_->data() + (*off_)[static_cast<std::size_t>(t - tmin_)] +
+           idx;
   }
 
  private:

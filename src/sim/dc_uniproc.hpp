@@ -42,17 +42,30 @@ struct DcConfig {
 
 namespace detail {
 
-/// Remove staged values that can no longer be read: everything below
-/// `min_unexecuted_t - reach`, except the final rows kept for output.
-/// Staleness is a pure function of t, so whole levels are dropped (and
-/// their slabs released).
-template <int D, class V>
-void prune_staging(const geom::Stencil<D>& st,
-                   sep::StagingStore<D, V>& staging,
-                   std::int64_t min_unexecuted_t) {
-  engine::trace::Span span(engine::trace::Cat::kStaging, "staging-prune",
-                           min_unexecuted_t);
-  staging.prune_below(min_unexecuted_t - st.reach(), st.horizon - st.m);
+/// Run the guest's whole space-time volume as the tile wavefronts of
+/// width `tile_width`: body(k, wave) for each anti-diagonal k in order,
+/// then prune the staged values no later wave can read — every level
+/// below the smallest tile t_min of the waves still to come, less the
+/// reach, except the final rows kept for output. Staleness is a pure
+/// function of t, so whole levels are dropped (and their slabs
+/// released).
+template <int D, class V, class Body>
+void run_waves(const geom::Stencil<D>& st, std::int64_t tile_width,
+               sep::StagingStore<D, V>& staging, Body&& body) {
+  const auto waves = geom::TileGrid<D>(&st, tile_width).wavefronts();
+  std::vector<std::int64_t> suffix_tmin(waves.size() + 1, st.horizon);
+  for (std::size_t k = waves.size(); k-- > 0;) {
+    std::int64_t mn = suffix_tmin[k + 1];
+    for (const auto& tile : waves[k])
+      mn = std::min(mn, tile.time_range().first);
+    suffix_tmin[k] = mn;
+  }
+  for (std::size_t k = 0; k < waves.size(); ++k) {
+    body(k, waves[k]);
+    engine::trace::Span span(engine::trace::Cat::kStaging, "staging-prune",
+                             suffix_tmin[k + 1]);
+    staging.prune_below(suffix_tmin[k + 1] - st.reach(), st.horizon - st.m);
+  }
 }
 
 }  // namespace detail
@@ -89,22 +102,10 @@ SimResult<D, V> simulate_dc_uniproc(const sep::BasicGuest<D, V>& guest,
   const core::Cost f_top =
       ecfg.f(static_cast<std::uint64_t>(host.total_memory()));
 
-  geom::TileGrid<D> grid(&st, tile_w);
-  auto waves = grid.wavefronts();
-
-  // Suffix minimum of tile t_min per wavefront, for staging pruning.
-  std::vector<std::int64_t> suffix_tmin(waves.size() + 1, st.horizon);
-  for (std::size_t k = waves.size(); k-- > 0;) {
-    std::int64_t mn = suffix_tmin[k + 1];
-    for (const auto& tile : waves[k])
-      mn = std::min(mn, tile.time_range().first);
-    suffix_tmin[k] = mn;
-  }
-
   sep::StagingStore<D, V> staging(&st);
   const auto hot_t0 = std::chrono::steady_clock::now();
-  for (std::size_t k = 0; k < waves.size(); ++k) {
-    for (const auto& tile : waves[k]) {
+  detail::run_waves(st, tile_w, staging, [&](std::size_t k, const auto& wave) {
+    for (const auto& tile : wave) {
       engine::trace::Span tile_span(engine::trace::Cat::kSim, "dc-tile",
                                     tile.width(),
                                     static_cast<std::int64_t>(k));
@@ -120,8 +121,7 @@ SimResult<D, V> simulate_dc_uniproc(const sep::BasicGuest<D, V>& guest,
                         2.0 * f_top * static_cast<core::Cost>(out),
                         static_cast<std::uint64_t>(out));
     }
-    detail::prune_staging<D>(st, staging, suffix_tmin[k + 1]);
-  }
+  });
   if (cfg.metrics != nullptr) {
     engine::HotPathMetric h;
     h.label = cfg.hot_label.empty() ? "dc_uniproc" : cfg.hot_label;

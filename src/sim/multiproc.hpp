@@ -186,33 +186,22 @@ class MultiprocSimulator {
       res.ledger.charge(core::CostKind::kRearrange, res.preprocess);
     }
 
-    geom::TileGrid<D> grid(&st, node_side_);
-    auto waves = grid.wavefronts();
-    std::vector<std::int64_t> suffix_tmin(waves.size() + 1, st.horizon);
-    for (std::size_t k = waves.size(); k-- > 0;) {
-      std::int64_t mn = suffix_tmin[k + 1];
-      for (const auto& tile : waves[k])
-        mn = std::min(mn, tile.time_range().first);
-      suffix_tmin[k] = mn;
-    }
-
     const double rdist = relocation_distance(node_side_);
     const auto hot_t0 = std::chrono::steady_clock::now();
     PhaseCtx<Store> root{&staging_, nullptr};
-    for (std::size_t k = 0; k < waves.size(); ++k) {
-      // The tiles of one anti-diagonal are mutually independent.
-      const auto& wave = waves[k];
-      if (wave_parallel(wave.size())) {
-        fork_logged(engine::ForkPhase::kMachineTile, root, wave.size(),
-                    [&](std::size_t i, PhaseCtx<Shard>& cx) {
-                      run_tile(wave[i], k, rdist, cx);
-                    });
-      } else {
-        for (const geom::Region<D>& tile : wave)
-          run_tile(tile, k, rdist, root);
-      }
-      detail::prune_staging<D>(st, staging_, suffix_tmin[k + 1]);
-    }
+    detail::run_waves(
+        st, node_side_, staging_, [&](std::size_t k, const auto& wave) {
+          // The tiles of one anti-diagonal are mutually independent.
+          if (wave_parallel(wave.size())) {
+            fork_logged(engine::ForkPhase::kMachineTile, root, wave.size(),
+                        [&](std::size_t i, PhaseCtx<Shard>& cx) {
+                          run_tile(wave[i], k, rdist, cx);
+                        });
+          } else {
+            for (const geom::Region<D>& tile : wave)
+              run_tile(tile, k, rdist, root);
+          }
+        });
     if (cfg_.metrics != nullptr) {
       engine::HotPathMetric h;
       h.label = cfg_.hot_label.empty() ? "multiproc" : cfg_.hot_label;

@@ -57,21 +57,12 @@ ExecStats drive(const sep::BasicGuest<D, V>& guest, Exec& exec,
   core::CostLedger ledger;
   exec.set_ledger(&ledger);
 
-  geom::TileGrid<D> grid(&st, st.extent[0]);
-  auto waves = grid.wavefronts();
-  std::vector<std::int64_t> suffix_tmin(waves.size() + 1, st.horizon);
-  for (std::size_t k = waves.size(); k-- > 0;) {
-    std::int64_t mn = suffix_tmin[k + 1];
-    for (const auto& tile : waves[k])
-      mn = std::min(mn, tile.time_range().first);
-    suffix_tmin[k] = mn;
-  }
-
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t k = 0; k < waves.size(); ++k) {
-    for (const auto& tile : waves[k]) exec.execute(tile, staging);
-    sim::detail::prune_staging<D>(st, staging, suffix_tmin[k + 1]);
-  }
+  sim::detail::run_waves(st, st.extent[0], staging,
+                         [&](std::size_t, const auto& wave) {
+                           for (const auto& tile : wave)
+                             exec.execute(tile, staging);
+                         });
   ExecStats s;
   s.seconds = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - t0)

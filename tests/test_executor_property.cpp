@@ -75,9 +75,19 @@ std::vector<sep::Word> input_array(const sep::Guest<1>& g) {
 // Sorting: every simulation scheme must actually sort.
 // ---------------------------------------------------------------------
 
+// Simulation schemes of the sort cases. A plain integer enum, not a
+// name string: gtest prints a parameter struct byte by byte, and a
+// string pointer's bytes would make the test ids change between builds.
+enum class Scheme : int64_t { kNaive, kDc, kMultiproc };
+
+static const char* scheme_name(Scheme s) {
+  if (s == Scheme::kNaive) return "naive";
+  return s == Scheme::kDc ? "dc" : "multiproc";
+}
+
 struct SortCase {
   int64_t n, p;
-  const char* scheme;
+  Scheme scheme;
 };
 
 class SystolicSort : public ::testing::TestWithParam<SortCase> {};
@@ -89,25 +99,27 @@ TEST_P(SystolicSort, SortsCorrectly) {
   std::sort(want.begin(), want.end());
 
   sim::SimResult<1> res;
-  if (std::string(scheme) == "naive") {
+  if (scheme == Scheme::kNaive) {
     res = sim::simulate_naive<1>(g, spec(1, n, p, 1));
-  } else if (std::string(scheme) == "dc") {
+  } else if (scheme == Scheme::kDc) {
     res = sim::simulate_dc_uniproc<1>(g, spec(1, n, 1, 1));
   } else {
     sim::MultiprocConfig cfg;
     res = sim::simulate_multiproc<1>(g, spec(1, n, p, 1), cfg);
   }
   EXPECT_EQ(final_array(g.stencil, res.final_values), want)
-      << scheme << " n=" << n << " p=" << p;
+      << scheme_name(scheme) << " n=" << n << " p=" << p;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, SystolicSort,
-    ::testing::Values(SortCase{16, 1, "naive"}, SortCase{16, 4, "naive"},
-                      SortCase{16, 1, "dc"}, SortCase{32, 1, "dc"},
-                      SortCase{16, 2, "multiproc"},
-                      SortCase{32, 4, "multiproc"},
-                      SortCase{64, 8, "multiproc"}));
+    ::testing::Values(SortCase{16, 1, Scheme::kNaive},
+                      SortCase{16, 4, Scheme::kNaive},
+                      SortCase{16, 1, Scheme::kDc},
+                      SortCase{32, 1, Scheme::kDc},
+                      SortCase{16, 2, Scheme::kMultiproc},
+                      SortCase{32, 4, Scheme::kMultiproc},
+                      SortCase{64, 8, Scheme::kMultiproc}));
 
 TEST(SystolicSort, AlreadySortedAndReversed) {
   int64_t n = 16;
@@ -296,7 +308,7 @@ std::vector<sep::Word> snake_readout(const geom::Stencil<2>& st,
 
 struct ShearCase {
   int64_t side, p;
-  const char* scheme;
+  Scheme scheme;
 };
 
 class Shearsort : public ::testing::TestWithParam<ShearCase> {};
@@ -311,9 +323,9 @@ TEST_P(Shearsort, SortsInSnakeOrder) {
 
   sim::SimResult<2> res;
   machine::MachineSpec host{2, side * side, p, 1};
-  if (std::string(scheme) == "naive") {
+  if (scheme == Scheme::kNaive) {
     res = sim::simulate_naive<2>(g, host);
-  } else if (std::string(scheme) == "dc") {
+  } else if (scheme == Scheme::kDc) {
     res = sim::simulate_dc_uniproc<2>(g, host);
   } else {
     sim::MultiprocConfig cfg;
@@ -321,16 +333,18 @@ TEST_P(Shearsort, SortsInSnakeOrder) {
     res = sim::simulate_multiproc<2>(g, host, cfg);
   }
   EXPECT_EQ(snake_readout(g.stencil, res.final_values), want)
-      << scheme << " side=" << side << " p=" << p;
+      << scheme_name(scheme) << " side=" << side << " p=" << p;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, Shearsort,
-    ::testing::Values(ShearCase{4, 1, "naive"}, ShearCase{4, 1, "dc"},
-                      ShearCase{6, 1, "dc"}, ShearCase{8, 1, "dc"},
-                      ShearCase{4, 4, "multiproc"},
-                      ShearCase{8, 4, "multiproc"},
-                      ShearCase{8, 16, "multiproc"}));
+    ::testing::Values(ShearCase{4, 1, Scheme::kNaive},
+                      ShearCase{4, 1, Scheme::kDc},
+                      ShearCase{6, 1, Scheme::kDc},
+                      ShearCase{8, 1, Scheme::kDc},
+                      ShearCase{4, 4, Scheme::kMultiproc},
+                      ShearCase{8, 4, Scheme::kMultiproc},
+                      ShearCase{8, 16, Scheme::kMultiproc}));
 
 TEST(Shearsort, PhaseCountIsLogarithmic) {
   EXPECT_EQ(workload::shearsort_phases(2), 5);

@@ -29,6 +29,21 @@ PlannerConfig<D> cfg_for(const geom::Stencil<D>& st, int64_t tile,
   return cfg;
 }
 
+/// The planner's cost_under against a dc_uniproc run with one tile the
+/// size of the mesh and the given leaf width.
+template <int D>
+void expect_cost_under_matches(const sep::Guest<D>& g, int64_t leaf) {
+  const int64_t side = g.stencil.extent[0];
+  machine::MachineSpec host{D, g.stencil.num_nodes(), 1, g.stencil.m};
+  sim::DcConfig dc;
+  dc.tile_width = side;
+  dc.leaf_width = leaf;
+  auto res = sim::simulate_dc_uniproc<D>(g, host, dc);
+  Planner<D> planner(&g.stencil, cfg_for<D>(g.stencil, side, leaf));
+  double planned = planner.plan().cost_under(g.stencil, host.access_fn());
+  EXPECT_NEAR(planned, res.time, 1e-6 * res.time) << "D=" << D;
+}
+
 }  // namespace
 
 TEST(Schedule, PlanCoversEveryVertexExactlyOnce) {
@@ -85,6 +100,13 @@ TEST(Schedule, CostUnderMatchesExecutorExactly) {
     double planned = sched.cost_under(g.stencil, host.access_fn());
     EXPECT_NEAR(planned, res.time, 1e-6 * res.time) << "m=" << m;
   }
+  // d >= 2, one tile the size of the mesh and leaves wide enough for
+  // interior spans: the planner counts operands with Stencil::preds, so
+  // it checks the leaf walk's charges without sharing its code.
+  expect_cost_under_matches<2>(
+      workload::make_mix_guest<2>({16, 16}, 16, 4, 8), 8);
+  expect_cost_under_matches<3>(
+      workload::make_mix_guest<3>({8, 8, 8}, 12, 2, 9), 8);
 }
 
 TEST(Schedule, ReCostingUnderUnitRam) {

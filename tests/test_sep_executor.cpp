@@ -90,6 +90,9 @@ TEST(Executor3D, MatchesReference) {
   check_equivalence<3>(std::move(g), 3, 1);
   auto g2 = workload::make_mix_guest<3>({2, 3, 2}, 6, 2, 56);
   check_equivalence<3>(std::move(g2), 4, 2);
+  // Leaves wide enough for innermost rows with interior spans.
+  auto g3 = workload::make_mix_guest<3>({8, 8, 8}, 10, 2, 57);
+  check_equivalence<3>(std::move(g3), 8, 8);
 }
 
 TEST(Executor1D, Rule110MatchesReference) {
